@@ -89,7 +89,8 @@ def evaluate(model: BaitRadarModel, records, subset: ModalityMask | None = None,
     recount = sum(
         1 for rec, pred in zip(records, predictions) if rec.label == pred.label
     ) / len(records)
-    assert acc == recount, f"confusion-matrix accuracy {acc} != recount {recount}"
+    if acc != recount:
+        raise MetricsError(f"confusion-matrix accuracy {acc} != recount {recount}")
     return EvalResult(
         cm=cm, accuracy=acc,
         mean_latency_s=sum(latencies) / len(latencies),

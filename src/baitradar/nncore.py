@@ -123,15 +123,18 @@ def lstm_forward(x, wx, wh, b, lengths):
         raise ShapeError("lstm: lengths must be in [0, L] with one entry per row")
 
     steps = int(lengths.max()) if batch else 0
-    # input contribution for all timesteps in one matmul
+    # input contribution and bias for all timesteps in one matmul; the bias is
+    # added in place, since xw is the largest array of a long-text batch
     xw = (x.reshape(batch * max_len, -1) @ wx).reshape(batch, max_len, four_h)
+    xw += b
 
     h = np.zeros((batch, hidden))
     c = np.zeros((batch, hidden))
     per_step = []
     for t in range(steps):
         live = (lengths > t)[:, None]
-        z = xw[:, t, :] + h @ wh + b
+        z = h @ wh
+        z += xw[:, t, :]
         gates = _sigmoid(z[:, : 3 * hidden])
         i = gates[:, :hidden]
         f = gates[:, hidden : 2 * hidden]
@@ -187,8 +190,19 @@ def lstm_backward(d_h, cache):
 # convolution / pooling / relu
 # ---------------------------------------------------------------------------
 
+def _offset_view(x, a: int, b_: int, stride: int, out_h: int, out_w: int):
+    """The [.., .., out_h, out_w] view of x that holds element (a, b_) of
+    every window placed at ``stride``."""
+    return x[:, :, a : a + out_h * stride : stride, b_ : b_ + out_w * stride : stride]
+
+
 def conv2d_forward(x, kernels, bias, stride: int = 1):
-    """Valid cross-correlation: x[B,C,H,W] * kernels[K,C,kh,kw] + bias[K]."""
+    """Valid cross-correlation: x[B,C,H,W] * kernels[K,C,kh,kw] + bias[K].
+
+    im2col is built channel-major, cols[C*kh*kw, B*oh*ow], from kh*kw strided
+    slab copies, so the whole layer is one GEMM. The output is the
+    [B,K,oh,ow] transpose of the [K,B,oh,ow] GEMM result (a view).
+    """
     x, kernels, bias = as_f64(x), as_f64(kernels), as_f64(bias)
     if x.ndim != 4 or kernels.ndim != 4 or x.shape[1] != kernels.shape[1]:
         raise ShapeError(f"conv2d: x{x.shape} incompatible with kernels{kernels.shape}")
@@ -203,67 +217,79 @@ def conv2d_forward(x, kernels, bias, stride: int = 1):
     out_h = (height - kh) // stride + 1
     out_w = (width - kw) // stride + 1
 
-    windows = np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(2, 3))
-    windows = windows[:, :, ::stride, ::stride, :, :]  # [B,C,oh,ow,kh,kw]
-    cols = windows.transpose(0, 2, 3, 1, 4, 5).reshape(batch * out_h * out_w, chans * kh * kw)
-    k_mat = kernels.reshape(n_k, chans * kh * kw)
-    out = (cols @ k_mat.T + bias).reshape(batch, out_h, out_w, n_k).transpose(0, 3, 1, 2)
+    x_cm = x.transpose(1, 0, 2, 3)
+    cols = np.empty((chans, kh, kw, batch, out_h, out_w))
+    for a in range(kh):
+        for b_ in range(kw):
+            cols[:, a, b_] = _offset_view(x_cm, a, b_, stride, out_h, out_w)
+    cols = cols.reshape(chans * kh * kw, batch * out_h * out_w)
+    out = kernels.reshape(n_k, -1) @ cols
+    out += bias[:, None]
+    out = out.reshape(n_k, batch, out_h, out_w).transpose(1, 0, 2, 3)
     cache = (cols, x.shape, kernels, stride, (out_h, out_w))
     return out, cache
 
 
 def conv2d_backward(d_out, cache, need_dx: bool = True):
     """Gradients for conv2d_forward. Pass need_dx=False for a first layer
-    whose input (raw pixels) is not trainable; the col2im scatter is the
-    expensive half of the backward pass."""
+    whose input (raw pixels) is not trainable, to skip the input-gradient
+    GEMM and the col2im scatter."""
     cols, x_shape, kernels, stride, (out_h, out_w) = cache
     batch, chans, height, width = x_shape
     n_k, _, kh, kw = kernels.shape
-    d_out = as_f64(d_out)
-    d_mat = d_out.transpose(0, 2, 3, 1).reshape(batch * out_h * out_w, n_k)
-    d_bias = d_mat.sum(axis=0)
-    d_kernels = (d_mat.T @ cols).reshape(kernels.shape)
+    d_kn = as_f64(d_out).transpose(1, 0, 2, 3).reshape(n_k, batch * out_h * out_w)
+    d_bias = d_kn.sum(axis=1)
+    d_kernels = (d_kn @ cols.T).reshape(kernels.shape)
     if not need_dx:
         return None, d_kernels, d_bias
-    d_cols = (d_mat @ kernels.reshape(n_k, -1)).reshape(batch, out_h, out_w, chans, kh, kw)
-    dx = np.zeros(x_shape)
+    d_cols = (kernels.reshape(n_k, -1).T @ d_kn).reshape(chans, kh, kw, batch, out_h, out_w)
+    dx = np.zeros((chans, batch, height, width))
     for a in range(kh):
         for b_ in range(kw):
-            dx[:, :, a : a + out_h * stride : stride, b_ : b_ + out_w * stride : stride] += (
-                d_cols[:, :, :, :, a, b_].transpose(0, 3, 1, 2)
-            )
-    return dx, d_kernels, d_bias
+            slab = _offset_view(dx, a, b_, stride, out_h, out_w)
+            slab += d_cols[:, a, b_]
+    return dx.transpose(1, 0, 2, 3), d_kernels, d_bias
 
 
 def max_pool2d_forward(x, size: int = 2, stride: int | None = None):
-    """Max pooling with argmax recorded for the backward scatter."""
+    """Max pooling with argmax recorded for the backward scatter.
+
+    ``arg`` is the winning offset a*size+b within each window; on ties the
+    first maximum in row-major window order wins. Both passes work on the
+    size*size strided views of the input that hold one window offset each.
+    """
     x = as_f64(x)
     if x.ndim != 4:
         raise ShapeError(f"max_pool2d: expected 4-d input, got {x.shape}")
     stride = size if stride is None else stride
-    batch, chans, height, width = x.shape
+    height, width = x.shape[2:]
     if size > height or size > width:
         raise ShapeError(f"max_pool2d: window {size} larger than input {height}x{width}")
     out_h = (height - size) // stride + 1
     out_w = (width - size) // stride + 1
-    windows = np.lib.stride_tricks.sliding_window_view(x, (size, size), axis=(2, 3))
-    windows = windows[:, :, ::stride, ::stride, :, :]
-    flat = windows.reshape(batch, chans, out_h, out_w, size * size)
-    arg = flat.argmax(axis=-1)
-    out = np.take_along_axis(flat, arg[..., None], axis=-1)[..., 0]
+    slabs = [_offset_view(x, k // size, k % size, stride, out_h, out_w)
+             for k in range(size * size)]
+    out = np.copy(slabs[0])
+    for slab in slabs[1:]:
+        np.maximum(out, slab, out=out)
+    # arg counts the leading offsets whose value is below the window's max
+    below = np.ones(out.shape, dtype=bool)
+    arg = np.zeros(out.shape, dtype=np.intp)
+    for slab in slabs[:-1]:
+        below &= slab < out
+        arg += below
     cache = (x.shape, size, stride, arg, (out_h, out_w))
     return out, cache
 
 
 def max_pool2d_backward(d_out, cache):
     x_shape, size, stride, arg, (out_h, out_w) = cache
-    batch, chans, height, width = x_shape
     d_out = as_f64(d_out)
     dx = np.zeros(x_shape)
-    b_idx, c_idx, i_idx, j_idx = np.indices((batch, chans, out_h, out_w))
-    rows = i_idx * stride + arg // size
-    cols = j_idx * stride + arg % size
-    np.add.at(dx, (b_idx, c_idx, rows, cols), d_out)
+    for k in range(size * size):
+        slab = _offset_view(dx, k // size, k % size, stride, out_h, out_w)
+        # += so that overlapping windows (stride < size) accumulate
+        slab += d_out * (arg == k)
     return dx
 
 
@@ -281,19 +307,20 @@ def relu_backward(d_out, cache):
 # ---------------------------------------------------------------------------
 
 def _sigmoid(x):
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
+    """Logistic function of a float64 array as 0.5 * (1 + tanh(x / 2)):
+    stable for every input, with no masking. The LSTM step loop calls it
+    directly, without :func:`sigmoid`'s conversion and scalar branch."""
+    out = np.tanh(x * 0.5)
+    out += 1.0
+    out *= 0.5
     return out
 
 
 def sigmoid(x):
-    """Numerically stable logistic function."""
+    """Numerically stable logistic function; a 0-d input gives a float."""
     x = as_f64(x)
     if x.ndim == 0:
-        return float(_sigmoid(x[None])[0])
+        return float(_sigmoid(x))
     return _sigmoid(x)
 
 

@@ -2,6 +2,7 @@ import dataclasses
 
 import pytest
 
+from baitradar import metrics
 from baitradar.corpus import select_records
 from baitradar.fusion import Prediction
 from baitradar.metrics import (
@@ -80,6 +81,12 @@ def test_evaluate_accuracy_matches_prediction_recount(tiny_model, tiny_records):
     recount = sum(1 for p in result.predictions if p.label == by_id[p.id]) / len(result.predictions)
     assert result.accuracy == recount
     assert result.cm.total() == 12
+
+
+def test_evaluate_raises_when_accuracy_disagrees_with_recount(monkeypatch, tiny_records):
+    monkeypatch.setattr(metrics, "accuracy", lambda cm: -1.0)
+    with pytest.raises(MetricsError, match="recount"):
+        evaluate(ConstantModel(1.0), tiny_records[:4])
 
 
 def test_evaluate_rejects_unlabeled(tiny_model, tiny_records):

@@ -12,6 +12,7 @@ from baitradar.nncore import (
     adam_step,
     binary_cross_entropy,
     binary_cross_entropy_grad,
+    conv2d_backward,
     conv2d_forward,
     dense_backward,
     dense_forward,
@@ -257,6 +258,39 @@ def test_conv_matches_naive_oracle(shape, kshape, stride):
     np.testing.assert_allclose(out, naive_conv_oracle(x, k, b, stride), atol=1e-12, rtol=0)
 
 
+def test_conv_backward_stride_two_matches_finite_differences():
+    rng = np.random.default_rng(21)
+    x = Parameter("x", rng.normal(size=(2, 2, 7, 8)))
+    kernels = Parameter("kernels", rng.normal(size=(3, 2, 3, 3)))
+    bias = Parameter("bias", rng.normal(size=3))
+    proj = rng.normal(size=(2, 3, 3, 3))
+
+    def loss_fn():
+        out, cache = conv2d_forward(x.value, kernels.value, bias.value, stride=2)
+        dx, dk, db = conv2d_backward(proj, cache)
+        x.grad += dx
+        kernels.grad += dk
+        bias.grad += db
+        return float((out * proj).sum())
+
+    report = grad_check(loss_fn, [x, kernels, bias])
+    assert report.max_rel_err <= 1e-4, report.per_param
+
+
+def test_conv_backward_without_dx_keeps_weight_gradients():
+    rng = np.random.default_rng(22)
+    x = rng.normal(size=(2, 3, 9, 9))
+    kernels = rng.normal(size=(4, 3, 3, 3))
+    _, cache = conv2d_forward(x, kernels, rng.normal(size=4), stride=2)
+    d_out = rng.normal(size=(2, 4, 4, 4))
+    dx, dk, db = conv2d_backward(d_out, cache)
+    none, dk_only, db_only = conv2d_backward(d_out, cache, need_dx=False)
+    assert dx.shape == x.shape
+    assert none is None
+    np.testing.assert_array_equal(dk_only, dk)
+    np.testing.assert_array_equal(db_only, db)
+
+
 def test_conv_kernel_too_large():
     with pytest.raises(nncore.ShapeError):
         conv2d_forward(np.zeros((1, 1, 3, 3)), np.zeros((1, 1, 5, 5)), np.zeros(1))
@@ -278,6 +312,45 @@ def test_max_pool_forward_backward():
     np.testing.assert_array_equal(dx, expected)
 
 
+def test_max_pool_tie_sends_gradient_to_first_element():
+    # an all-zero window, the usual tie after relu
+    x = np.zeros((1, 1, 2, 4))
+    x[0, 0, 1, 3] = 2.0
+    out, cache = max_pool2d_forward(x, 2)
+    np.testing.assert_array_equal(out, [[[[0.0, 2.0]]]])
+    dx = max_pool2d_backward(np.array([[[[3.0, 5.0]]]]), cache)
+    expected = np.zeros_like(x)
+    expected[0, 0, 0, 0] = 3.0
+    expected[0, 0, 1, 3] = 5.0
+    np.testing.assert_array_equal(dx, expected)
+
+
+def max_pool_oracle(x, d_out, size, stride):
+    """Window-by-window max pooling; the first maximum in row-major order
+    takes the window's gradient, scattered with np.add.at."""
+    out = np.zeros(d_out.shape)
+    dx = np.zeros(x.shape)
+    for idx in np.ndindex(*d_out.shape):
+        n, c, i, j = idx
+        window = x[n, c, i * stride : i * stride + size, j * stride : j * stride + size]
+        a, b_ = divmod(int(window.argmax()), size)
+        out[idx] = window[a, b_]
+        np.add.at(dx, (n, c, i * stride + a, j * stride + b_), d_out[idx])
+    return out, dx
+
+
+def test_max_pool_overlapping_windows_accumulate():
+    rng = np.random.default_rng(23)
+    # integers make ties common; windows of 3 at stride 2 share a row/column
+    x = rng.integers(0, 3, size=(2, 3, 9, 7)).astype(float)
+    out, cache = max_pool2d_forward(x, size=3, stride=2)
+    d_out = rng.normal(size=out.shape)
+    expected_out, expected_dx = max_pool_oracle(x, d_out, 3, 2)
+    np.testing.assert_array_equal(out, expected_out)
+    np.testing.assert_allclose(max_pool2d_backward(d_out, cache), expected_dx,
+                               atol=1e-12, rtol=0)
+
+
 def test_relu_clamps_and_gates():
     x = np.array([-1.0, 0.0, 2.0])
     out, cache = relu_forward(x)
@@ -293,6 +366,11 @@ def test_sigmoid_midpoint_and_extremes():
     assert sigmoid(0.0) == 0.5
     assert 0.0 <= sigmoid(-800.0) < 1e-12
     assert 1.0 - 1e-12 < sigmoid(800.0) <= 1.0
+    x = np.linspace(-800.0, 800.0, 4001)
+    with np.errstate(all="raise"):
+        pos, neg = sigmoid(x), sigmoid(-x)
+    assert ((pos >= 0.0) & (pos <= 1.0)).all()
+    np.testing.assert_allclose(pos + neg, 1.0, atol=1e-15, rtol=0)
 
 
 def test_bce_half_probability_is_ln2():
