@@ -16,7 +16,7 @@ from .corpus import (
     write_corpus,
 )
 from .encoders import EncoderConfig, StatsNormalizer
-from .fusion import FusedVector, Prediction, fuse
+from .fusion import Prediction
 from .metrics import ConfusionMatrix, SweepResult, accuracy, evaluate, sweep_combinations
 from .modalities import MODALITIES, ModalityMask
 from .model import BaitRadarModel
@@ -30,7 +30,6 @@ __all__ = [
     "ConfusionMatrix",
     "DatasetSplit",
     "EncoderConfig",
-    "FusedVector",
     "MODALITIES",
     "ModalityMask",
     "Prediction",
@@ -49,7 +48,6 @@ __all__ = [
     "build_vocab",
     "encode",
     "evaluate",
-    "fuse",
     "generate_synthetic",
     "load_checkpoint",
     "load_jsonl",

@@ -123,9 +123,6 @@ def loads(data: bytes) -> BaitRadarModel:
         raise CheckpointError(f"unsupported checkpoint version {version}, expected {FORMAT_VERSION}")
     meta = json.loads(r.take(r.u64("metadata length"), "metadata").decode("utf-8"))
     vocab_text = r.take(r.u64("vocabulary length"), "vocabulary").decode("utf-8")
-    vocab = Vocabulary.from_text(
-        vocab_text, max_size=meta["vocab_max_size"], min_freq=meta["vocab_min_freq"]
-    )
     n_norm = r.u32("normalization size")
     mean = np.zeros(n_norm)
     std = np.zeros(n_norm)
@@ -147,13 +144,18 @@ def loads(data: bytes) -> BaitRadarModel:
     if struct.unpack("<I", crc_raw)[0] != zlib.crc32(payload):
         raise CheckpointError("checksum mismatch; checkpoint is corrupt")
 
-    enc_meta = dict(meta["encoder"])
-    enc_meta["conv_channels"] = tuple(enc_meta["conv_channels"])
-    config = EncoderConfig(**enc_meta)
-    model = BaitRadarModel.build(
-        meta["modalities"], vocab, norm, config,
-        seed=meta["init_seed"], head_arch=meta["head_arch"],
-    )
+    try:
+        vocab = Vocabulary.from_text(
+            vocab_text, max_size=meta["vocab_max_size"], min_freq=meta["vocab_min_freq"]
+        )
+        enc_meta = dict(meta["encoder"])
+        enc_meta["conv_channels"] = tuple(enc_meta["conv_channels"])
+        model = BaitRadarModel.build(
+            meta["modalities"], vocab, norm, EncoderConfig(**enc_meta),
+            seed=meta["init_seed"], head_arch=meta["head_arch"],
+        )
+    except KeyError as e:
+        raise CheckpointError(f"checkpoint metadata has no {e.args[0]!r} entry") from None
     expected = set(model.params)
     missing = sorted(expected - set(tensors))
     if missing:

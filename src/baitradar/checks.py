@@ -8,9 +8,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import encoders, fusion, nncore
-from .encoders import EncoderConfig
-from .modalities import ModalityMask
+from . import encoders, fusion, nncore, textpipe
+from .corpus import StatsFeatures, ThumbnailImage, VideoRecord
+from .encoders import EncoderConfig, StatsNormalizer
+from .modalities import MODALITIES, ModalityMask
+from .model import BaitRadarModel, featurize_record
 from .nncore import GradCheckReport, Parameter, grad_check
 
 DEFAULT_TOLERANCE = 1e-4
@@ -178,6 +180,57 @@ def check_stats_encoder(seed: int = 108) -> GradCheckReport:
     return grad_check(loss_fn, params.values())
 
 
+def check_whole_model(seed: int = 109) -> GradCheckReport:
+    """Every parameter of a six-modality model through featurization, the
+    per-modality row scatter, the fusion average, the head and the loss, on
+    three complete records fused under a different mask each.
+
+    The step is 1e-4 rather than 1e-5: some LSTM gradient entries are near
+    1e-8, where the relative error's floor turns rounding noise of about
+    1e-11 into a failure. Larger steps cross ReLU and max-pool kinks more
+    often; at 1e-4 the default seed stays clear of them.
+    """
+    rng = np.random.default_rng(seed)
+    texts = (
+        ("you will not believe", ["shocking", "viral", "wow"], ["so fake", "wow wow"],
+         "today we try the thing"),
+        ("quarterly market report", ["finance", "news", "report"], ["useful summary", "thanks"],
+         "the market fell today"),
+        ("this trick changed everything", ["trick", "hack", "viral", "wow"], ["fake", "nice one"],
+         "watch until the end"),
+    )
+    size = _TINY.thumb_size
+    records = [
+        VideoRecord(
+            id=f"r{i}", channel_id="c", title=title, tags=tags, comments=comments,
+            transcript=transcript,
+            stats=StatsFeatures(*(int(v) for v in rng.integers(1, 10**6, size=5))),
+            thumbnail_path=f"r{i}.ppm", label="clickbait" if i != 1 else "non_clickbait",
+            thumbnail_image=ThumbnailImage(
+                size, size, rng.integers(0, 256, size * size * 3, dtype=np.uint8).tobytes()
+            ),
+        )
+        for i, (title, tags, comments, transcript) in enumerate(texts)
+    ]
+    vocab = textpipe.build_vocab(textpipe.training_texts(records), min_freq=1)
+    norm = StatsNormalizer().fit(records)
+    model = BaitRadarModel.build(MODALITIES, vocab, norm, _TINY, seed=seed)
+    feats = [featurize_record(r, vocab, norm, _TINY) for r in records]
+    masks = [
+        ModalityMask.from_names(["title", "thumbnail", "statistics"]),
+        ModalityMask.from_names(["title", "comments", "audio_transcript", "tags"]),
+        ModalityMask.all(),
+    ]
+    labels = np.array([f.label for f in feats])
+
+    def loss_fn():
+        probs, cache = model.forward_features(feats, masks)
+        model.backward(nncore.binary_cross_entropy_grad(probs, labels), cache)
+        return nncore.binary_cross_entropy(probs, labels)
+
+    return grad_check(loss_fn, model.parameters(), h=1e-4)
+
+
 ALL_CHECKS = (
     ("dense", check_dense),
     ("embedding", check_embedding),
@@ -187,6 +240,7 @@ ALL_CHECKS = (
     ("text_encoder", check_text_encoder),
     ("thumbnail_encoder", check_thumbnail_encoder),
     ("stats_encoder", check_stats_encoder),
+    ("whole_model", check_whole_model),
 )
 
 

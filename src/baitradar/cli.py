@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 from . import checks, corpus, metrics, textpipe, training
@@ -132,10 +132,27 @@ _FLAG_FIELDS = (
 )
 
 
+def _read_config(path) -> dict:
+    """The --config file's fields. Anything but a JSON object of TrainConfig
+    fields, with EncoderConfig fields under "encoder", is a usage error."""
+    try:
+        obj = json.loads(Path(path).read_text(encoding="utf-8"))
+    except json.JSONDecodeError as e:
+        raise _UsageError(f"--config {path}: invalid JSON ({e.msg})") from None
+    encoder = obj.get("encoder", {}) if isinstance(obj, dict) else None
+    for part, cls, where in ((obj, TrainConfig, ""), (encoder, EncoderConfig, "encoder ")):
+        if not isinstance(part, dict):
+            raise _UsageError(f"--config {path}: {where}must be a JSON object")
+        unknown = sorted(set(part) - {f.name for f in fields(cls)})
+        if unknown:
+            raise _UsageError(f"--config {path}: unknown {where}fields {unknown}")
+    return obj
+
+
 def make_train_config(args) -> TrainConfig:
     merged: dict = {}
     if getattr(args, "config", None):
-        merged.update(json.loads(Path(args.config).read_text(encoding="utf-8")))
+        merged.update(_read_config(args.config))
     for name in _FLAG_FIELDS:
         value = getattr(args, name, None)
         if value is not None:
@@ -327,6 +344,9 @@ def main(argv=None) -> int:
         return 0 if not e.code else 1
     try:
         return _COMMANDS[args.command](args)
+    except _UsageError as e:
+        print(f"baitradar {args.command}: error: {e}", file=sys.stderr)
+        return 1
     except (ValueError, OSError) as e:
         print(f"baitradar {args.command}: error: {e}", file=sys.stderr)
         return 2

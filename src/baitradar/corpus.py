@@ -10,7 +10,7 @@ and a config always maps to the same synthetic corpus, byte for byte.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -46,8 +46,8 @@ class StatsFeatures:
     def __post_init__(self):
         for name in STATS_FIELDS:
             v = getattr(self, name)
-            if not isinstance(v, int) or isinstance(v, bool) or v < 0:
-                raise CorpusError(f"stats field {name!r} must be a nonnegative integer, got {v!r}")
+            if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < 2**63:
+                raise CorpusError(f"stats {name!r} must be an int in [0, 2**63), got {v!r:.40}")
 
     def as_array(self) -> np.ndarray:
         return np.array([getattr(self, name) for name in STATS_FIELDS], dtype=np.float64)
@@ -117,11 +117,22 @@ class VideoRecord:
 # JSONL ingestion / emission
 # ---------------------------------------------------------------------------
 
+# JSON type of each known field (the lists hold strings); null means absent
+_FIELD_TYPES = {"id": str, "channel_id": str, "title": str, "tags": list, "comments": list,
+                "transcript": str, "stats": dict, "thumbnail": str, "label": str}
+
+
 def _record_from_obj(obj: dict) -> VideoRecord:
     if not isinstance(obj, dict):
         raise CorpusError("record is not a JSON object")
     if "id" not in obj or obj["id"] in (None, ""):
         raise CorpusError('missing "id"')
+    for key, kind in _FIELD_TYPES.items():
+        value = obj.get(key)
+        if value is not None and not (isinstance(value, kind) and (
+                kind is not list or all(isinstance(v, str) for v in value))):
+            what = {str: "a string", list: "a list of strings", dict: "an object"}[kind]
+            raise CorpusError(f"field {key!r} must be {what}, got {json.dumps(value)[:40]}")
     stats = obj.get("stats")
     if stats is not None:
         unknown = set(stats) - set(STATS_FIELDS)
@@ -131,18 +142,12 @@ def _record_from_obj(obj: dict) -> VideoRecord:
         if missing:
             raise CorpusError(f"stats object missing fields {missing}")
         stats = StatsFeatures(**{k: stats[k] for k in STATS_FIELDS})
-    tags = obj.get("tags")
-    comments = obj.get("comments")
-    if tags is not None:
-        tags = [str(t) for t in tags]
-    if comments is not None:
-        comments = [str(c) for c in comments]
     return VideoRecord(
-        id=str(obj["id"]),
-        channel_id=str(obj.get("channel_id") or ""),
+        id=obj["id"],
+        channel_id=obj.get("channel_id") or "",
         title=obj.get("title"),
-        tags=tags,
-        comments=comments,
+        tags=obj.get("tags"),
+        comments=obj.get("comments"),
         transcript=obj.get("transcript"),
         stats=stats,
         thumbnail_path=obj.get("thumbnail"),
@@ -569,7 +574,3 @@ def generate_synthetic(config: SyntheticConfig) -> list[VideoRecord]:
         )
     return records
 
-
-def relabel(records, label: str) -> list[VideoRecord]:
-    """Copy records with every label replaced (split label-blindness checks)."""
-    return [replace(r, label=label) for r in records]

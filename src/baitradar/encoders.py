@@ -2,17 +2,20 @@
 the shared fusion dimension d: the four text modalities run an embedding into
 an LSTM whose final hidden state has size d; the thumbnail runs a small conv
 stack ending in a dense layer of width d; statistics run log1p + frozen
-z-score into a two-layer dense net ending at d.
+z-score into a two-layer dense net ending at d. ``ENCODERS`` maps each
+modality to its kind, so callers need not branch on kinds.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
-from . import nncore
-from .corpus import STATS_FIELDS, ThumbnailImage
+from . import nncore, textpipe
+from .corpus import STATS_FIELDS, ThumbnailImage, load_ppm
 from .modalities import TEXT_MODALITIES
 
 
@@ -130,17 +133,6 @@ def init_stats_params(cfg: EncoderConfig, rng: np.random.Generator) -> dict[str,
     }
 
 
-def init_encoder_params(modality: str, vocab_size: int, cfg: EncoderConfig,
-                        rng: np.random.Generator) -> dict[str, np.ndarray]:
-    if modality in TEXT_MODALITIES:
-        return init_text_params(modality, vocab_size, cfg, rng)
-    if modality == "thumbnail":
-        return init_thumbnail_params(cfg, rng)
-    if modality == "statistics":
-        return init_stats_params(cfg, rng)
-    raise ValueError(f"unknown modality {modality!r}")
-
-
 # ---------------------------------------------------------------------------
 # batched forward/backward per modality
 # ---------------------------------------------------------------------------
@@ -229,3 +221,64 @@ def encode_stats_backward(d_out, cache, params):
     _, d_w1, d_b1 = nncore.dense_backward(d_h1, cache1)
     params["statistics.dense1.w"].grad += d_w1
     params["statistics.dense1.b"].grad += d_b1
+
+
+# ---------------------------------------------------------------------------
+# the table of encoder kinds
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class EncoderKind:
+    """One kind of sub-network, each callable taking the modality name m:
+    init(m, vocab_size, cfg, rng) -> {parameter name: initial value};
+    featurize(record, m, vocab, stats_norm, cfg, base_dir) -> one record's payload;
+    forward(m, payloads, params, cfg) -> (out [B,d], cache);
+    backward(d_out, cache, params) accumulates the parameter grads.
+    Entries call the functions above by global name at call time, so that
+    rebinding those module attributes (as an external tracer does) is seen.
+    """
+
+    init: Callable
+    featurize: Callable
+    forward: Callable
+    backward: Callable
+
+
+def _text_payload(record, m, vocab, stats_norm, cfg, base_dir):
+    seq = textpipe.encode_modality(record, m, vocab)
+    return np.asarray(seq.ids, dtype=np.int64), seq.true_length
+
+
+def _thumbnail_payload(record, m, vocab, stats_norm, cfg, base_dir):
+    img = record.thumbnail_image
+    if img is None:  # a relative path resolves against base_dir
+        path = Path(record.thumbnail_path)
+        if not path.is_absolute() and base_dir is not None:
+            path = Path(base_dir) / path
+        img = load_ppm(path)
+    return prepare_thumbnail(img, cfg.thumb_size)  # uint8 [3,S,S]
+
+
+ENCODERS: dict[str, EncoderKind] = {
+    **dict.fromkeys(TEXT_MODALITIES, EncoderKind(
+        init=lambda m, vocab_size, cfg, rng: init_text_params(m, vocab_size, cfg, rng),
+        featurize=_text_payload,
+        forward=lambda m, payloads, params, cfg: encode_text_forward(
+            m, np.stack([ids for ids, _ in payloads]),
+            np.array([n for _, n in payloads], dtype=np.int64), params),
+        backward=lambda d_out, cache, params: encode_text_backward(d_out, cache, params),
+    )),
+    "thumbnail": EncoderKind(
+        init=lambda m, vocab_size, cfg, rng: init_thumbnail_params(cfg, rng),
+        featurize=_thumbnail_payload,
+        forward=lambda m, payloads, params, cfg: encode_thumbnail_forward(
+            np.stack(payloads).astype(np.float64) / 255.0, params, cfg),
+        backward=lambda d_out, cache, params: encode_thumbnail_backward(d_out, cache, params),
+    ),
+    "statistics": EncoderKind(
+        init=lambda m, vocab_size, cfg, rng: init_stats_params(cfg, rng),
+        featurize=lambda record, m, vocab, norm, cfg, base_dir: norm.transform(record.stats),
+        forward=lambda m, payloads, params, cfg: encode_stats_forward(np.stack(payloads), params),
+        backward=lambda d_out, cache, params: encode_stats_backward(d_out, cache, params),
+    ),
+}

@@ -20,13 +20,7 @@ PROBABILITY_THRESHOLD = 0.5
 
 
 class FusionError(ValueError):
-    """No present modalities, or mismatched fusion dimensions."""
-
-
-@dataclass(frozen=True)
-class FusedVector:
-    vector: np.ndarray
-    n_present: int
+    """No encoder outputs, or a row with no present modalities."""
 
 
 @dataclass(frozen=True)
@@ -48,29 +42,6 @@ class Prediction:
 def decide_label(probability: float) -> str:
     # ties at exactly 0.5 flag the warning case
     return "clickbait" if probability >= PROBABILITY_THRESHOLD else "non_clickbait"
-
-
-def fuse(outputs: dict[str, np.ndarray], mask: ModalityMask) -> FusedVector:
-    """Average the present encoder outputs element-wise.
-
-    ``outputs`` must hold one vector per true mask flag (extra keys are
-    ignored); with all six present this is the plain six-way mean.
-    """
-    names = mask.names()
-    if not names:
-        raise FusionError("fusion mask has no present modalities")
-    missing = [m for m in names if m not in outputs]
-    if missing:
-        raise FusionError(f"mask marks {missing} present but no outputs were supplied")
-    vectors = [nncore.as_f64(outputs[m]) for m in names]
-    dim = vectors[0].shape
-    for m, v in zip(names, vectors):
-        if v.shape != dim:
-            raise FusionError(f"encoder output {m} has shape {v.shape}, expected {dim}")
-    total = np.zeros(dim)
-    for v in vectors:
-        total = total + v
-    return FusedVector(vector=total / len(names), n_present=len(names))
 
 
 def fuse_batch(outputs: dict[str, np.ndarray], present: dict[str, np.ndarray]):

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 MODALITIES = (
     "title",
@@ -56,10 +56,6 @@ class ModalityMask:
         if name not in MODALITIES:
             raise ValueError(f"unknown modality {name!r}")
         return ModalityMask(**{m: getattr(self, m) and m != name for m in MODALITIES})
-
-    def __iter__(self):
-        for f in fields(self):
-            yield f.name, getattr(self, f.name)
 
 
 def parse_modalities(text: str) -> tuple[str, ...]:

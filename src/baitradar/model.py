@@ -6,14 +6,13 @@ and statistics normalization) needed to turn raw records into inputs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from . import encoders, fusion, nncore, textpipe
-from .corpus import LABEL_CLICKBAIT, VideoRecord, load_ppm
-from .encoders import EncoderConfig, StatsNormalizer
-from .modalities import MODALITIES, TEXT_MODALITIES, ModalityMask
+from . import fusion, nncore
+from .corpus import LABEL_CLICKBAIT, VideoRecord
+from .encoders import ENCODERS, EncoderConfig, StatsNormalizer
+from .modalities import MODALITIES, ModalityMask
 from .textpipe import Vocabulary
 
 
@@ -28,10 +27,7 @@ class Features:
     id: str
     label: float | None
     present: ModalityMask
-    text_ids: dict[str, np.ndarray]
-    text_len: dict[str, int]
-    thumbnail: np.ndarray | None  # uint8 [3,S,S]
-    stats: np.ndarray | None      # z-scored float64 [5]
+    inputs: dict[str, object]  # modality -> its encoder kind's payload
 
 
 def featurize_record(record: VideoRecord, vocab: Vocabulary, stats_norm: StatsNormalizer,
@@ -39,29 +35,14 @@ def featurize_record(record: VideoRecord, vocab: Vocabulary, stats_norm: StatsNo
     """Tokenize/encode text, decode+resize the thumbnail, and z-score the
     statistics for every requested modality the record actually has."""
     usable = record.present_mask().intersect(ModalityMask.from_names(modalities))
-    text_ids, text_len = {}, {}
-    for m in TEXT_MODALITIES:
-        if getattr(usable, m):
-            seq = textpipe.encode_modality(record, m, vocab)
-            text_ids[m] = np.asarray(seq.ids, dtype=np.int64)
-            text_len[m] = seq.true_length
-    thumb = None
-    if usable.thumbnail:
-        img = record.thumbnail_image
-        if img is None:
-            path = Path(record.thumbnail_path)
-            if not path.is_absolute() and base_dir is not None:
-                path = Path(base_dir) / path
-            img = load_ppm(path)
-        thumb = encoders.prepare_thumbnail(img, config.thumb_size)
-    stats = stats_norm.transform(record.stats) if usable.statistics else None
+    inputs = {
+        m: ENCODERS[m].featurize(record, m, vocab, stats_norm, config, base_dir)
+        for m in usable.names()
+    }
     label = None
     if record.label is not None:
         label = 1.0 if record.label == LABEL_CLICKBAIT else 0.0
-    return Features(
-        id=record.id, label=label, present=usable,
-        text_ids=text_ids, text_len=text_len, thumbnail=thumb, stats=stats,
-    )
+    return Features(id=record.id, label=label, present=usable, inputs=inputs)
 
 
 class BaitRadarModel:
@@ -95,6 +76,8 @@ class BaitRadarModel:
               head_arch: str = "mlp") -> "BaitRadarModel":
         """Seeded initialization; encoders in canonical modality order, then
         the head, so the same seed always yields the same weights."""
+        if not set(modalities) <= set(MODALITIES):
+            raise ModelError(f"unknown modality in {tuple(modalities)}; expected {MODALITIES}")
         modalities = tuple(m for m in MODALITIES if m in set(modalities))
         if not modalities:
             raise ModelError("a model needs at least one modality")
@@ -103,7 +86,7 @@ class BaitRadarModel:
         rng = np.random.default_rng(seed)
         values: dict[str, np.ndarray] = {}
         for m in modalities:
-            values.update(encoders.init_encoder_params(m, len(vocab), config, rng))
+            values.update(ENCODERS[m].init(m, len(vocab), config, rng))
         prefix = "head" if head_arch == "mlp" else f"{modalities[0]}.head"
         values.update(
             fusion.init_head_params(config.fusion_dim, config.head_hidden, head_arch, rng, prefix)
@@ -136,14 +119,6 @@ class BaitRadarModel:
                     )
                 self.params[n].value = v.copy()
 
-    # -- featurization ------------------------------------------------------
-
-    def featurize(self, record: VideoRecord, base_dir=None) -> Features:
-        return featurize_record(
-            record, self.vocab, self.stats_norm, self.config,
-            base_dir=base_dir, modalities=self.modalities,
-        )
-
     # -- batched forward/backward --------------------------------------------
 
     def forward_features(self, feats: list[Features], masks: list[ModalityMask]):
@@ -161,17 +136,8 @@ class BaitRadarModel:
             out = np.zeros((n_rows, d))
             cache = None
             if rows.size:
-                if m in TEXT_MODALITIES:
-                    ids = np.stack([feats[i].text_ids[m] for i in rows])
-                    lens = np.array([feats[i].text_len[m] for i in rows], dtype=np.int64)
-                    sub, cache = encoders.encode_text_forward(m, ids, lens, self.params)
-                elif m == "thumbnail":
-                    px = np.stack([feats[i].thumbnail for i in rows]).astype(np.float64) / 255.0
-                    sub, cache = encoders.encode_thumbnail_forward(px, self.params, self.config)
-                else:
-                    z = np.stack([feats[i].stats for i in rows])
-                    sub, cache = encoders.encode_stats_forward(z, self.params)
-                out[rows] = sub
+                payloads = [feats[i].inputs[m] for i in rows]
+                out[rows], cache = ENCODERS[m].forward(m, payloads, self.params, self.config)
             outputs[m] = out
             enc_caches[m] = (rows, cache)
         fused, n_present = fusion.fuse_batch(outputs, present)
@@ -184,15 +150,8 @@ class BaitRadarModel:
         d_per = fusion.fuse_batch_backward(d_fused, present, n_present)
         for m in self.modalities:
             rows, enc_cache = enc_caches[m]
-            if not rows.size:
-                continue
-            d_sub = d_per[m][rows]
-            if m in TEXT_MODALITIES:
-                encoders.encode_text_backward(d_sub, enc_cache, self.params)
-            elif m == "thumbnail":
-                encoders.encode_thumbnail_backward(d_sub, enc_cache, self.params)
-            else:
-                encoders.encode_stats_backward(d_sub, enc_cache, self.params)
+            if rows.size:
+                ENCODERS[m].backward(d_per[m][rows], enc_cache, self.params)
 
     # -- inference ------------------------------------------------------------
 

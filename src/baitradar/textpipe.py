@@ -6,6 +6,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
+from .modalities import TEXT_MODALITIES
+
 PAD_ID = 0
 UNK_ID = 1
 PAD_TOKEN = "<pad>"
@@ -130,16 +132,8 @@ def encode_modality(record, modality: str, vocab: Vocabulary) -> TokenSequence:
     return encode(tokenize(modality_text(record, modality)), vocab, MAX_LEN[modality])
 
 
-_TEXT_FIELDS = {"title": "title", "tags": "tags", "comments": "comments",
-                "audio_transcript": "transcript"}
-
-
 def training_texts(records) -> list[str]:
     """All text payloads of a record sequence, for vocabulary building.
     Call this on the training split only."""
-    texts = []
-    for rec in records:
-        for modality, attr in _TEXT_FIELDS.items():
-            if getattr(rec, attr) is not None:
-                texts.append(modality_text(rec, modality))
-    return texts
+    return [modality_text(rec, m) for rec in records for m in rec.present_mask().names()
+            if m in TEXT_MODALITIES]

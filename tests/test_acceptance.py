@@ -22,7 +22,7 @@ from baitradar.corpus import (
 )
 from baitradar.metrics import evaluate, sweep_combinations
 from baitradar.modalities import MODALITIES, ModalityMask
-from baitradar.model import BaitRadarModel
+from baitradar.model import BaitRadarModel, featurize_record
 from baitradar.training import TrainConfig, batch_accuracy, prepare_corpus, train
 
 GRAD_TOL = 1e-4
@@ -133,7 +133,7 @@ def test_c01_gradient_integrity():
     reports = checks.run_gradient_checks()
     seconds = time.perf_counter() - t0
     names = [name for name, _ in reports]
-    for required in ("dense", "embedding", "lstm", "conv_relu_pool", "fusion_head"):
+    for required in ("dense", "embedding", "lstm", "conv_relu_pool", "fusion_head", "whole_model"):
         assert required in names
     for name, report in reports:
         assert report.max_rel_err <= GRAD_TOL, f"{name}: {report.max_rel_err}"
@@ -148,31 +148,32 @@ def test_c02_fusion_oracle():
         n_present = int(rng.integers(1, 7))
         names = list(rng.choice(MODALITIES, size=n_present, replace=False))
         mask = ModalityMask.from_names(names)
-        outputs = {m: rng.normal(size=dim) for m in names}
-        fused = fusion.fuse(outputs, mask)
+        # every modality gets an output; the absent ones must not count
+        outputs = {m: rng.normal(size=(1, dim)) for m in MODALITIES}
+        present = {m: np.array([getattr(mask, m)]) for m in MODALITIES}
+        fused, n = fusion.fuse_batch(outputs, present)
         expected = np.zeros(dim)
-        for m in mask.names():  # same accumulation order as fuse
-            expected = expected + outputs[m]
+        for m in mask.names():  # same accumulation order as fuse_batch
+            expected = expected + outputs[m][0]
         expected = expected / n_present
-        assert fused.n_present == n_present
-        assert np.abs(fused.vector - expected).max() <= EQ_ORACLE_TOL
+        assert n[0] == n_present
+        assert np.abs(fused[0] - expected).max() <= EQ_ORACLE_TOL
 
 
 @criterion(3, "single-modality pipeline degeneracy")
 def test_c03_single_modality_degeneracy(degeneracy_model):
     model, record = degeneracy_model
-    feats = model.featurize(record)
+    feats = featurize_record(record, model.vocab, model.stats_norm, model.config).inputs
     for m in MODALITIES:
         pred = model.predict(record, subset=ModalityMask.from_names([m]))
         if m in ("title", "comments", "audio_transcript", "tags"):
-            vec, _ = encoders.encode_text_forward(
-                m, feats.text_ids[m][None], np.array([feats.text_len[m]]), model.params
-            )
+            ids, length = feats[m]
+            vec, _ = encoders.encode_text_forward(m, ids[None], np.array([length]), model.params)
         elif m == "thumbnail":
-            px = feats.thumbnail[None].astype(np.float64) / 255.0
+            px = feats[m][None].astype(np.float64) / 255.0
             vec, _ = encoders.encode_thumbnail_forward(px, model.params, model.config)
         else:
-            vec, _ = encoders.encode_stats_forward(feats.stats[None], model.params)
+            vec, _ = encoders.encode_stats_forward(feats[m][None], model.params)
         direct, _ = fusion.head_forward(vec, model.params, model.head_arch)
         assert abs(pred.probability - float(direct[0])) <= DEGENERACY_TOL, m
 

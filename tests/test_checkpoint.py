@@ -4,6 +4,7 @@ import zlib
 import numpy as np
 import pytest
 
+from baitradar import checkpoint
 from baitradar.checkpoint import (
     FORMAT_VERSION,
     MAGIC,
@@ -66,6 +67,16 @@ def test_truncated_mid_tensor_names_tensor(tiny_model):
     data = dumps(tiny_model)
     with pytest.raises(CheckpointError, match="truncated.*tensor"):
         loads(data[: len(data) - 200])
+
+
+@pytest.mark.parametrize("key", ["vocab_min_freq", "encoder", "head_arch"])
+def test_metadata_missing_key_rejected(tiny_model, monkeypatch, key):
+    full = checkpoint._metadata
+    monkeypatch.setattr(checkpoint, "_metadata",
+                        lambda model: {k: v for k, v in full(model).items() if k != key})
+    data = dumps(tiny_model)  # a valid checksum over the short metadata
+    with pytest.raises(CheckpointError, match=key):
+        loads(data)
 
 
 def test_corrupted_payload_fails_checksum(tiny_model):

@@ -177,6 +177,23 @@ def test_unknown_flag_exits_1(capsys):
     assert run(["gen-data", "--n", "5", "--out", "x.jsonl", "--bogus"]) == 1
 
 
+@pytest.mark.parametrize("text,named", [
+    ('{"batch_size": 8, "bogus": 1}', "bogus"),
+    ("[1, 2]", "JSON object"),
+    ('{"encoder": {"fusion_dim": 8, "width": 3}}', "width"),
+    ('{"encoder": [8]}', "encoder must be"),
+    ('{"batch_size": ', "invalid JSON"),
+])
+def test_malformed_config_exits_1_with_one_line(workdir, tmp_path, capsys, text, named):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(text)
+    code = run(["train", "--in", str(workdir / "corpus.jsonl"), "--out", str(tmp_path / "m"),
+                "--config", str(cfg)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.count("\n") == 1 and named in err and "Traceback" not in err
+
+
 def test_malformed_corpus_exits_2(trained, tmp_path):
     bad = tmp_path / "bad.jsonl"
     bad.write_text("this is not json\n")

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -14,7 +15,6 @@ from baitradar.corpus import (
     generate_synthetic,
     load_jsonl,
     load_ppm,
-    relabel,
     save_ppm,
     select_records,
     split_dataset,
@@ -102,6 +102,28 @@ def test_load_jsonl_incomplete_stats_named(tmp_path):
     p = tmp_path / "c.jsonl"
     p.write_text('{"id": "a", "title": "t", "stats": {"views": 3}}\n')
     with pytest.raises(CorpusError, match="missing fields"):
+        load_jsonl(p)
+
+
+@pytest.mark.parametrize("field,value", [
+    ("title", 5),
+    ("tags", "abc"),
+    ("comments", {"k": "v"}),
+    ("id", 7),
+])
+def test_load_jsonl_rejects_wrong_field_type(tmp_path, field, value):
+    obj = {"id": "a", "title": "t", field: value}
+    p = tmp_path / "c.jsonl"
+    p.write_text(json.dumps(obj) + "\n")
+    with pytest.raises(CorpusError, match=f"line 1: field {field!r}"):
+        load_jsonl(p)
+
+
+def test_load_jsonl_rejects_stats_beyond_float_range(tmp_path):
+    stats = {"views": 10**400, "likes": 0, "dislikes": 0, "comment_count": 0, "duration_s": 0}
+    p = tmp_path / "c.jsonl"
+    p.write_text(json.dumps({"id": "a", "title": "t", "stats": stats}) + "\n")
+    with pytest.raises(CorpusError, match="views"):
         load_jsonl(p)
 
 
@@ -196,7 +218,7 @@ def test_split_dataset_is_label_blind():
     records = [make_record(i, label="clickbait" if i % 2 else "non_clickbait")
                for i in range(60)]
     a = split_dataset(records, seed=9)
-    b = split_dataset(relabel(records, "clickbait"), seed=9)
+    b = split_dataset([dataclasses.replace(r, label="clickbait") for r in records], seed=9)
     assert (a.train, a.validation, a.test) == (b.train, b.validation, b.test)
 
 

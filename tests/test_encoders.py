@@ -10,7 +10,6 @@ from baitradar.encoders import (
     encode_stats_forward,
     encode_text_forward,
     encode_thumbnail_forward,
-    init_encoder_params,
     init_stats_params,
     init_text_params,
     init_thumbnail_params,
@@ -190,7 +189,3 @@ def test_norm_array_round_trip():
     empty = StatsNormalizer.from_arrays(*StatsNormalizer().to_arrays())
     assert not empty.fitted
 
-
-def test_init_encoder_params_unknown_modality():
-    with pytest.raises(ValueError):
-        init_encoder_params("audio", 10, CFG, np.random.default_rng(0))

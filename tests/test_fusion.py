@@ -5,74 +5,52 @@ from baitradar import nncore
 from baitradar.fusion import (
     FusionError,
     decide_label,
-    fuse,
     fuse_batch,
     fuse_batch_backward,
     head_forward,
     init_head_params,
 )
-from baitradar.modalities import MODALITIES, ModalityMask
+from baitradar.modalities import MODALITIES
 from baitradar.nncore import Parameter
 
 
-def mask_of(*names):
-    return ModalityMask.from_names(names)
+def fuse_rows(vecs):
+    """fuse_batch on a one-row batch with every supplied vector present."""
+    fused, n = fuse_batch({m: np.asarray(v)[None] for m, v in vecs.items()},
+                          {m: np.array([True]) for m in vecs})
+    return fused[0], n[0]
 
 
 def test_fuse_six_identical_vectors_is_identity():
     v = np.array([1.0, -2.0, 3.5])
-    fused = fuse({m: v for m in MODALITIES}, ModalityMask.all())
-    np.testing.assert_allclose(fused.vector, v, atol=1e-15)
-    assert fused.n_present == 6
+    fused, n = fuse_rows({m: v for m in MODALITIES})
+    np.testing.assert_allclose(fused, v, atol=1e-15)
+    assert n == 6
 
 
 def test_fuse_single_modality_is_passthrough():
     v = np.array([0.25, 0.5])
-    fused = fuse({"title": v}, mask_of("title"))
-    np.testing.assert_array_equal(fused.vector, v)
-    assert fused.n_present == 1
+    fused, n = fuse_rows({"title": v})
+    np.testing.assert_array_equal(fused, v)
+    assert n == 1
 
 
 def test_fuse_two_vectors_arithmetic():
-    fused = fuse(
-        {"title": np.array([1.0, 0.0]), "tags": np.array([0.0, 1.0])},
-        mask_of("title", "tags"),
-    )
-    np.testing.assert_array_equal(fused.vector, [0.5, 0.5])
+    fused, _ = fuse_rows({"title": np.array([1.0, 0.0]), "tags": np.array([0.0, 1.0])})
+    np.testing.assert_array_equal(fused, [0.5, 0.5])
 
 
 def test_fuse_empty_mask_rejected():
     with pytest.raises(FusionError):
-        fuse({}, ModalityMask())
-
-
-def test_fuse_dimension_mismatch_rejected():
-    with pytest.raises(FusionError):
-        fuse({"title": np.zeros(3), "tags": np.zeros(4)}, mask_of("title", "tags"))
-
-
-def test_fuse_missing_output_for_masked_modality():
-    with pytest.raises(FusionError):
-        fuse({"title": np.zeros(3)}, mask_of("title", "tags"))
-
-
-def test_fuse_permutation_invariant():
-    rng = np.random.default_rng(0)
-    vecs = {m: rng.normal(size=4) for m in ("title", "comments", "tags")}
-    mask = mask_of("title", "comments", "tags")
-    a = fuse(vecs, mask)
-    shuffled = {m: vecs[m] for m in ("tags", "title", "comments")}
-    b = fuse(shuffled, mask)
-    np.testing.assert_array_equal(a.vector, b.vector)
+        fuse_batch({}, {})
 
 
 def test_fuse_is_linear_in_scaling():
     rng = np.random.default_rng(1)
     vecs = {m: rng.normal(size=5) for m in ("title", "thumbnail", "statistics")}
-    mask = mask_of("title", "thumbnail", "statistics")
-    base = fuse(vecs, mask).vector
+    base, _ = fuse_rows(vecs)
     for c in (-2.0, 0.5, 3.0):
-        scaled = fuse({m: c * v for m, v in vecs.items()}, mask).vector
+        scaled, _ = fuse_rows({m: c * v for m, v in vecs.items()})
         np.testing.assert_allclose(scaled, c * base, atol=1e-12)
 
 

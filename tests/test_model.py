@@ -4,10 +4,14 @@ import numpy as np
 import pytest
 
 from baitradar import encoders, fusion
-from baitradar.model import BaitRadarModel, ModelError
+from baitradar.model import BaitRadarModel, ModelError, featurize_record
 from baitradar.modalities import MODALITIES, ModalityMask
 
 from conftest import SMALL_ENCODER
+
+
+def featurize(model, record):
+    return featurize_record(record, model.vocab, model.stats_norm, model.config)
 
 
 def test_predict_uses_only_available_modalities(tiny_model, tiny_records):
@@ -64,17 +68,17 @@ def test_single_modality_pipeline_equals_direct_encoder_head(tiny_model, tiny_re
     rec = tiny_records[2]
     pred = tiny_model.predict(rec, subset=ModalityMask.from_names([modality]))
 
-    feats = tiny_model.featurize(rec)
+    payload = featurize(tiny_model, rec).inputs[modality]
     if modality in ("title", "comments", "audio_transcript", "tags"):
+        ids, length = payload
         vec, _ = encoders.encode_text_forward(
-            modality, feats.text_ids[modality][None],
-            np.array([feats.text_len[modality]]), tiny_model.params,
+            modality, ids[None], np.array([length]), tiny_model.params,
         )
     elif modality == "thumbnail":
-        px = feats.thumbnail[None].astype(np.float64) / 255.0
+        px = payload[None].astype(np.float64) / 255.0
         vec, _ = encoders.encode_thumbnail_forward(px, tiny_model.params, tiny_model.config)
     else:
-        vec, _ = encoders.encode_stats_forward(feats.stats[None], tiny_model.params)
+        vec, _ = encoders.encode_stats_forward(payload[None], tiny_model.params)
     direct, _ = fusion.head_forward(vec, tiny_model.params, tiny_model.head_arch)
     assert abs(pred.probability - float(direct[0])) <= 1e-12
 
@@ -82,6 +86,12 @@ def test_single_modality_pipeline_equals_direct_encoder_head(tiny_model, tiny_re
 def test_build_requires_modalities(tiny_prepared):
     with pytest.raises(ModelError):
         BaitRadarModel.build((), tiny_prepared.vocab, tiny_prepared.stats_norm, SMALL_ENCODER)
+
+
+def test_build_rejects_unknown_modality(tiny_prepared):
+    with pytest.raises(ModelError, match="audio"):
+        BaitRadarModel.build(("title", "audio"), tiny_prepared.vocab, tiny_prepared.stats_norm,
+                             SMALL_ENCODER)
 
 
 def test_build_same_seed_same_weights(tiny_prepared):
@@ -104,7 +114,7 @@ def test_forward_batch_matches_per_record_predictions(tiny_model, tiny_records):
     """Batching is an implementation detail: probabilities must agree with
     one-record batches."""
     records = tiny_records[:6]
-    feats = [tiny_model.featurize(r) for r in records]
+    feats = [featurize(tiny_model, r) for r in records]
     masks = [f.present for f in feats]
     batch_probs, _ = tiny_model.forward_features(feats, masks)
     for i, rec in enumerate(records):
