@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import io
 import json
+import math
 import struct
 import zlib
 from dataclasses import asdict
@@ -33,6 +34,7 @@ from .textpipe import Vocabulary
 
 MAGIC = b"BRDR"
 FORMAT_VERSION = 1
+_MAX_NDIM = 64  # numpy's limit on array rank
 
 
 class CheckpointError(ValueError):
@@ -109,44 +111,52 @@ class _Reader:
 
 
 def loads(data: bytes) -> BaitRadarModel:
+    """Parse a checkpoint. Every failure raises :class:`CheckpointError`."""
     if data[:4] != MAGIC:
         raise CheckpointError("not a BaitRadar checkpoint (bad magic)")
     if len(data) < 12:
         raise CheckpointError("truncated checkpoint header")
     # structural parse first so truncation errors can name what was cut off;
-    # the checksum (verified at the end) catches in-place corruption
+    # nothing is decoded or interpreted until the checksum (verified after the
+    # parse) has ruled out in-place corruption
     payload, crc_raw = data[4:-4], data[-4:]
 
     r = _Reader(payload)
     version = r.u32("format version")
     if version != FORMAT_VERSION:
         raise CheckpointError(f"unsupported checkpoint version {version}, expected {FORMAT_VERSION}")
-    meta = json.loads(r.take(r.u64("metadata length"), "metadata").decode("utf-8"))
-    vocab_text = r.take(r.u64("vocabulary length"), "vocabulary").decode("utf-8")
+    meta_raw = r.take(r.u64("metadata length"), "metadata")
+    vocab_raw = r.take(r.u64("vocabulary length"), "vocabulary")
     n_norm = r.u32("normalization size")
-    mean = np.zeros(n_norm)
-    std = np.zeros(n_norm)
-    for k in range(n_norm):
-        mean[k], std[k] = struct.unpack("<dd", r.take(16, "normalization"))
-    norm = StatsNormalizer.from_arrays(mean, std)
+    norm_raw = r.take(16 * n_norm, "normalization")
 
     n_tensors = r.u32("tensor count")
     tensors: dict[str, np.ndarray] = {}
     for _ in range(n_tensors):
-        name = r.take(r.u32("tensor name length"), "tensor name").decode("utf-8")
+        name = r.take(r.u32("tensor name length"), "tensor name").decode("utf-8", "replace")
         ndim = r.u32(f"tensor {name} rank")
+        if ndim > _MAX_NDIM:
+            raise CheckpointError(f"tensor {name} has rank {ndim}, more than {_MAX_NDIM}")
         dims = struct.unpack(f"<{ndim}Q", r.take(8 * ndim, f"tensor {name} dims"))
-        count = int(np.prod(dims)) if ndim else 1
-        raw = r.take(8 * count, f"tensor {name} values")
-        tensors[name] = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(dims)
+        raw = r.take(8 * math.prod(dims), f"tensor {name} values")
+        try:
+            tensors[name] = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(dims)
+        except ValueError as e:  # a zero dim lets any other dim through the size check
+            raise CheckpointError(f"tensor {name} has invalid dims {dims}: {e}") from None
     if r.pos != len(payload):
         raise CheckpointError(f"{len(payload) - r.pos} trailing bytes after last tensor")
     if struct.unpack("<I", crc_raw)[0] != zlib.crc32(payload):
         raise CheckpointError("checksum mismatch; checkpoint is corrupt")
 
     try:
+        meta = json.loads(meta_raw.decode("utf-8"))
+        if not isinstance(meta, dict):
+            raise TypeError("metadata is not a JSON object")
+        pairs = np.frombuffer(norm_raw, dtype="<f8").reshape(n_norm, 2)
+        norm = StatsNormalizer.from_arrays(pairs[:, 0], pairs[:, 1])
         vocab = Vocabulary.from_text(
-            vocab_text, max_size=meta["vocab_max_size"], min_freq=meta["vocab_min_freq"]
+            vocab_raw.decode("utf-8"), max_size=meta["vocab_max_size"],
+            min_freq=meta["vocab_min_freq"],
         )
         enc_meta = dict(meta["encoder"])
         enc_meta["conv_channels"] = tuple(enc_meta["conv_channels"])
@@ -156,6 +166,8 @@ def loads(data: bytes) -> BaitRadarModel:
         )
     except KeyError as e:
         raise CheckpointError(f"checkpoint metadata has no {e.args[0]!r} entry") from None
+    except (TypeError, ValueError) as e:
+        raise CheckpointError(f"checkpoint metadata or vocabulary is invalid: {e}") from None
     expected = set(model.params)
     missing = sorted(expected - set(tensors))
     if missing:

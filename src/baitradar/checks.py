@@ -57,12 +57,13 @@ def check_embedding(seed: int = 102) -> GradCheckReport:
 def check_lstm(seed: int = 103) -> GradCheckReport:
     rng = np.random.default_rng(seed)
     hidden = 3
-    x = _param(rng, "x", (2, 4, 3))
+    # unsorted lengths with a zero row, so the length sort is checked too
+    lengths = np.array([2, 4, 0])
+    x = _param(rng, "x", (3, 4, 3))
     wx = _param(rng, "wx", (3, 4 * hidden))
     wh = _param(rng, "wh", (hidden, 4 * hidden))
     b = _param(rng, "b", (4 * hidden,))
-    lengths = np.array([4, 2])
-    weights = rng.normal(size=(2, hidden))
+    weights = rng.normal(size=(3, hidden))
 
     def loss_fn():
         h, cache = nncore.lstm_forward(x.value, wx.value, wh.value, b.value, lengths)

@@ -12,6 +12,8 @@ import json
 import sys
 from dataclasses import fields, replace
 from pathlib import Path
+from types import UnionType
+from typing import Union, get_args, get_origin, get_type_hints
 
 from . import checks, corpus, metrics, textpipe, training
 from .checkpoint import load_checkpoint, save_checkpoint
@@ -132,9 +134,28 @@ _FLAG_FIELDS = (
 )
 
 
+_JSON_SCALARS = {int: int, float: (int, float), str: str, type(None): type(None)}
+
+
+def _fits(value, hint) -> bool:
+    """Whether a JSON value can stand for a field annotated ``hint``: a list
+    stands for a tuple, and a bool is not a number."""
+    origin, args = get_origin(hint), get_args(hint)
+    if origin in (Union, UnionType):
+        return any(_fits(value, a) for a in args)
+    if origin is tuple:
+        if not isinstance(value, list):
+            return False
+        if args[-1] is Ellipsis:
+            args = args[:1] * len(value)
+        return len(value) == len(args) and all(map(_fits, value, args))
+    return isinstance(value, _JSON_SCALARS[hint]) and not isinstance(value, bool)
+
+
 def _read_config(path) -> dict:
     """The --config file's fields. Anything but a JSON object of TrainConfig
-    fields, with EncoderConfig fields under "encoder", is a usage error."""
+    fields, with EncoderConfig fields under "encoder" and each value of its
+    field's annotated type, is a usage error."""
     try:
         obj = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as e:
@@ -146,6 +167,11 @@ def _read_config(path) -> dict:
         unknown = sorted(set(part) - {f.name for f in fields(cls)})
         if unknown:
             raise _UsageError(f"--config {path}: unknown {where}fields {unknown}")
+        hints = get_type_hints(cls)
+        for f in fields(cls):
+            if f.name in part and f.name != "encoder" and not _fits(part[f.name], hints[f.name]):
+                raise _UsageError(f"--config {path}: {where}field {f.name!r} must be "
+                                  f"{f.type}, got {json.dumps(part[f.name])}")
     return obj
 
 

@@ -246,6 +246,8 @@ def load_ppm(path) -> ThumbnailImage:
     width, height, maxval = fields
     if maxval != 255:
         raise PpmError(f"{path}: maxval {maxval} unsupported, expected 255")
+    if width <= 0 or height <= 0:
+        raise PpmError(f"{path}: image size {width}x{height} must be positive")
     pos += 1  # single whitespace byte after maxval
     expected = width * height * 3
     data = raw[pos : pos + expected]

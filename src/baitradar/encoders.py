@@ -138,8 +138,14 @@ def init_stats_params(cfg: EncoderConfig, rng: np.random.Generator) -> dict[str,
 # ---------------------------------------------------------------------------
 
 def encode_text_forward(modality: str, ids, lengths, params):
-    """ids[B,L] -> embedding -> LSTM final hidden [B,d]."""
+    """ids[B,L] -> embedding -> LSTM final hidden [B,d]. Columns past the
+    longest row are padding the LSTM never reads, so they are cut before the
+    embedding lookup."""
     table = params[f"{modality}.embedding.table"]
+    lengths = np.asarray(lengths, dtype=np.int64)
+    ids = np.asarray(ids)
+    if ids.ndim == 2 and lengths.size:
+        ids = ids[:, : lengths.max()]
     emb, emb_cache = nncore.embedding_forward(ids, table.value)
     h, lstm_cache = nncore.lstm_forward(
         emb,

@@ -107,6 +107,12 @@ def lstm_forward(x, wx, wh, b, lengths):
     b[4H]. Initial state is zero. Steps at or beyond a row's length leave its
     state untouched, so the result is invariant to padding content, and a
     zero-length row yields a zero vector.
+
+    Rows are stable-sorted by length, longest first, so the rows live at step
+    t are the prefix [:n_live[t]] and each step computes only those. Work is
+    time-major over the longest length only: the input GEMM fills
+    ``act[steps,B,4H]``, and each step activates its gates in place there, so
+    the cache keeps activations, not pre-activations.
     """
     x, wx, wh, b = as_f64(x), as_f64(wx), as_f64(wh), as_f64(b)
     lengths = np.asarray(lengths, dtype=np.int64)
@@ -118,71 +124,109 @@ def lstm_forward(x, wx, wh, b, lengths):
     hidden = four_h // 4
     if wh.shape != (hidden, four_h) or b.shape != (four_h,):
         raise ShapeError(f"lstm: wh{wh.shape} b{b.shape} do not match hidden size {hidden}")
-    batch, max_len, _ = x.shape
+    batch, max_len, in_dim = x.shape
     if lengths.shape != (batch,) or (lengths > max_len).any() or (lengths < 0).any():
         raise ShapeError("lstm: lengths must be in [0, L] with one entry per row")
 
-    steps = int(lengths.max()) if batch else 0
-    # input contribution and bias for all timesteps in one matmul; the bias is
-    # added in place, since xw is the largest array of a long-text batch
-    xw = (x.reshape(batch * max_len, -1) @ wx).reshape(batch, max_len, four_h)
-    xw += b
+    order = np.argsort(-lengths, kind="stable")
+    sorted_len = lengths[order]
+    steps = int(sorted_len[0]) if batch else 0
+    # n_live[t] = number of rows whose length exceeds t
+    n_live = np.searchsorted(-sorted_len, -np.arange(steps), side="left")
+    # the input of the live steps, time-major and length-sorted: row t*B + k
+    # of xt is x[order[k], t], gathered from the flattened [B*L, E] input
+    rows = (order * max_len + np.arange(steps)[:, None]).reshape(-1)
+    xt = x.reshape(batch * max_len, in_dim)[rows]
+    # a sigmoid gate is 0.5 * (1 + tanh(z / 2)). Halving the sigmoid gates'
+    # weights and bias up front is exact in floating point, and lets one tanh
+    # call per step activate all four gates
+    scale = np.full(four_h, 0.5)
+    scale[3 * hidden :] = 1.0
+    act = (xt @ (wx * scale)).reshape(steps, batch, four_h)
+    act += b * scale
+    wh_scaled = wh * scale
 
-    h = np.zeros((batch, hidden))
-    c = np.zeros((batch, hidden))
-    per_step = []
+    # histories: hs[t] / cs[t] is the state entering step t. hs and tanh_cs
+    # start at zero because the backward reads them in bulk, past each row's
+    # length too, and multiplies those entries by zero gradients
+    hs = np.zeros((steps + 1, batch, hidden))
+    cs = np.empty((steps + 1, batch, hidden))
+    cs[0] = 0.0
+    tanh_cs = np.zeros((steps, batch, hidden))
     for t in range(steps):
-        live = (lengths > t)[:, None]
-        z = h @ wh
-        z += xw[:, t, :]
-        gates = _sigmoid(z[:, : 3 * hidden])
-        i = gates[:, :hidden]
-        f = gates[:, hidden : 2 * hidden]
-        o = gates[:, 2 * hidden :]
-        g = np.tanh(z[:, 3 * hidden :])
-        c_new = f * c + i * g
-        tanh_c = np.tanh(c_new)
-        h_new = o * tanh_c
-        per_step.append((i, f, o, g, c, tanh_c, h, live))
-        c = np.where(live, c_new, c)
-        h = np.where(live, h_new, h)
-    cache = (x, wx, wh, lengths, per_step, steps, hidden)
+        n = n_live[t]
+        z = act[t, :n]
+        z += hs[t, :n] @ wh_scaled
+        np.tanh(z, out=z)
+        sig = z[:, : 3 * hidden]
+        sig += 1.0
+        sig *= 0.5
+        i = z[:, :hidden]
+        f = z[:, hidden : 2 * hidden]
+        o = z[:, 2 * hidden : 3 * hidden]
+        g = z[:, 3 * hidden :]
+        c = np.multiply(f, cs[t, :n], out=cs[t + 1, :n])
+        c += i * g
+        tanh_c = np.tanh(c, out=tanh_cs[t, :n])
+        np.multiply(o, tanh_c, out=hs[t + 1, :n])
+    h = np.empty((batch, hidden))
+    h[order] = hs[sorted_len, np.arange(batch)]
+    cache = (x.shape, xt, wx, wh, order, rows, n_live, act, cs, tanh_cs, hs)
     return h, cache
 
 
 def lstm_backward(d_h, cache):
     """Backpropagation through time for :func:`lstm_forward`.
 
-    At each step the hidden/cell gradients are split: rows still live at that
-    step flow through the gate algebra, frozen rows pass straight through to
-    the previous step (their state was copied, not recomputed).
+    The loop runs over the same live prefixes as the forward. A row's
+    gradient enters at its last step and rows past their length are never
+    touched, so nothing is masked. Each step's gate gradient is stored
+    time-major, and the weight, bias and input gradients are each one GEMM
+    or sum over all steps after the loop.
     """
-    x, wx, wh, lengths, per_step, steps, hidden = cache
-    batch, max_len, in_dim = x.shape
-    d_h = as_f64(d_h).copy()
+    x_shape, xt, wx, wh, order, rows, n_live, act, cs, tanh_cs, hs = cache
+    steps, batch, four_h = act.shape
+    hidden = four_h // 4
+    in_dim = x_shape[2]
+    d_h = as_f64(d_h)[order]
     d_c = np.zeros_like(d_h)
-    d_xw = np.zeros((batch, max_len, 4 * hidden))
-    d_wh = np.zeros_like(wh)
-    d_b = np.zeros(4 * hidden)
+    # the activation derivatives of all steps at once: dz_all starts as
+    # 1 - s for the sigmoid gates and 1 - g^2 for g, and each step multiplies
+    # its live rows by the rest of their gate gradient
+    dz_all = np.empty_like(act)
+    np.subtract(1.0, act[..., : 3 * hidden], out=dz_all[..., : 3 * hidden])
+    g_part = np.square(act[..., 3 * hidden :], out=dz_all[..., 3 * hidden :])
+    np.subtract(1.0, g_part, out=g_part)
+    d_tanh_c = 1.0 - tanh_cs**2
+    d_act = np.empty((batch, four_h))
     for t in reversed(range(steps)):
-        i, f, o, g, c_prev, tanh_c, h_prev, live = per_step[t]
-        dh_t = np.where(live, d_h, 0.0)
-        dc_t = np.where(live, d_c, 0.0) + dh_t * o * (1.0 - tanh_c**2)
-        d_o = dh_t * tanh_c
-        d_i = dc_t * g
-        d_g = dc_t * i
-        d_f = dc_t * c_prev
-        dz = d_xw[:, t, :]
-        dz[:, :hidden] = d_i * i * (1.0 - i)
-        dz[:, hidden : 2 * hidden] = d_f * f * (1.0 - f)
-        dz[:, 2 * hidden : 3 * hidden] = d_o * o * (1.0 - o)
-        dz[:, 3 * hidden :] = d_g * (1.0 - g**2)
-        d_wh += h_prev.T @ dz
-        d_b += dz.sum(axis=0)
-        d_h = np.where(live, dz @ wh.T, d_h)
-        d_c = np.where(live, dc_t * f, d_c)
-    d_wx = x.reshape(batch * max_len, in_dim).T @ d_xw.reshape(batch * max_len, 4 * hidden)
-    dx = (d_xw.reshape(batch * max_len, 4 * hidden) @ wx.T).reshape(x.shape)
+        n = n_live[t]
+        z = act[t, :n]
+        i = z[:, :hidden]
+        f = z[:, hidden : 2 * hidden]
+        o = z[:, 2 * hidden : 3 * hidden]
+        dh_t = d_h[:n]
+        dc_t = d_c[:n]
+        dc_t += dh_t * o * d_tanh_c[t, :n]
+        # gradients wrt the activations (i, f, o, g), then through them
+        da = d_act[:n]
+        np.multiply(dc_t, z[:, 3 * hidden :], out=da[:, :hidden])
+        np.multiply(dc_t, cs[t, :n], out=da[:, hidden : 2 * hidden])
+        np.multiply(dh_t, tanh_cs[t, :n], out=da[:, 2 * hidden : 3 * hidden])
+        np.multiply(dc_t, i, out=da[:, 3 * hidden :])
+        da[:, : 3 * hidden] *= z[:, : 3 * hidden]
+        dz = dz_all[t, :n]
+        dz *= da
+        dz_all[t, n:] = 0.0
+        np.matmul(dz, wh.T, out=dh_t)
+        dc_t *= f
+    dz_flat = dz_all.reshape(steps * batch, four_h)
+    d_b = dz_flat.sum(axis=0)
+    d_wh = hs[:steps].reshape(steps * batch, hidden).T @ dz_flat
+    d_wx = xt.T @ dz_flat
+    dx = np.zeros((x_shape[0] * x_shape[1], in_dim))
+    dx[rows] = dz_flat @ wx.T
+    dx = dx.reshape(x_shape)
     return dx, d_wx, d_wh, d_b
 
 
@@ -306,22 +350,14 @@ def relu_backward(d_out, cache):
 # sigmoid / binary cross-entropy
 # ---------------------------------------------------------------------------
 
-def _sigmoid(x):
-    """Logistic function of a float64 array as 0.5 * (1 + tanh(x / 2)):
-    stable for every input, with no masking. The LSTM step loop calls it
-    directly, without :func:`sigmoid`'s conversion and scalar branch."""
-    out = np.tanh(x * 0.5)
+def sigmoid(x):
+    """Logistic function as 0.5 * (1 + tanh(x / 2)): stable for every input,
+    with no masking; a 0-d input gives a float. The LSTM gates use the same
+    form, folded into their weights."""
+    out = np.tanh(as_f64(x) * 0.5)
     out += 1.0
     out *= 0.5
-    return out
-
-
-def sigmoid(x):
-    """Numerically stable logistic function; a 0-d input gives a float."""
-    x = as_f64(x)
-    if x.ndim == 0:
-        return float(_sigmoid(x))
-    return _sigmoid(x)
+    return float(out) if out.ndim == 0 else out
 
 
 def sigmoid_backward(d_out, out):

@@ -3,6 +3,8 @@ import zlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from baitradar import checkpoint
 from baitradar.checkpoint import (
@@ -84,6 +86,42 @@ def test_corrupted_payload_fails_checksum(tiny_model):
     data[-100] ^= 0xFF  # flip a bit inside the last tensor's values
     with pytest.raises(CheckpointError, match="checksum"):
         loads(bytes(data))
+
+
+def _with_crc(payload: bytes) -> bytes:
+    return MAGIC + payload + struct.pack("<I", zlib.crc32(payload))
+
+
+def test_metadata_that_is_not_json_rejected(tiny_model):
+    payload = dumps(tiny_model)[4:-4]
+    (meta_len,) = struct.unpack_from("<Q", payload, 4)
+    bad = payload[:12] + b"\xff" * meta_len + payload[12 + meta_len :]
+    with pytest.raises(CheckpointError, match="metadata"):
+        loads(_with_crc(bad))
+
+
+def test_tensor_rank_above_numpy_limit_rejected():
+    payload = struct.pack("<I", FORMAT_VERSION)
+    for block in (b"{}", b""):
+        payload += struct.pack("<Q", len(block)) + block
+    payload += struct.pack("<II", 0, 1) + struct.pack("<I", 1) + b"w"
+    payload += struct.pack("<I", 65) + struct.pack("<65Q", *([1] * 65)) + struct.pack("<d", 0.0)
+    with pytest.raises(CheckpointError, match="rank 65"):
+        loads(_with_crc(payload))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_one_byte_replacement_raises_only_checkpoint_error(tiny_model, data):
+    blob = bytearray(dumps(tiny_model))
+    # half the draws land in the first 2,500 bytes (header, metadata and
+    # vocabulary), where a byte is decoded rather than only checksummed
+    offset = data.draw(st.one_of(st.integers(0, 2500), st.integers(0, len(blob) - 1)))
+    blob[offset] = data.draw(st.integers(0, 255))
+    try:
+        loads(bytes(blob))
+    except CheckpointError:
+        pass
 
 
 def test_missing_tensor_for_declared_subset(tiny_model):

@@ -183,6 +183,13 @@ def test_unknown_flag_exits_1(capsys):
     ('{"encoder": {"fusion_dim": 8, "width": 3}}', "width"),
     ('{"encoder": [8]}', "encoder must be"),
     ('{"batch_size": ', "invalid JSON"),
+    ('{"batch_size": "8"}', "'batch_size' must be int"),
+    ('{"lr": "fast"}', "'lr' must be float"),
+    ('{"patience": true}', "'patience' must be int"),
+    ('{"modalities": "title"}', "'modalities' must be tuple"),
+    ('{"modality_keep_prob": [0.5]}', "'modality_keep_prob' must be float | None"),
+    ('{"encoder": {"conv_channels": [2]}}', "encoder field 'conv_channels'"),
+    ('{"encoder": {"fusion_dim": 8.5}}', "encoder field 'fusion_dim' must be int"),
 ])
 def test_malformed_config_exits_1_with_one_line(workdir, tmp_path, capsys, text, named):
     cfg = tmp_path / "bad.json"

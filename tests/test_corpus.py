@@ -176,6 +176,20 @@ def test_load_ppm_rejects_truncated_payload(tmp_path):
         load_ppm(p)
 
 
+def test_load_ppm_rejects_zero_size(tmp_path):
+    p = tmp_path / "a.ppm"
+    p.write_bytes(b"P6 0 0 255\n")
+    with pytest.raises(PpmError, match="0x0"):
+        load_ppm(p)
+
+
+def test_load_ppm_rejects_negative_size(tmp_path):
+    p = tmp_path / "a.ppm"
+    p.write_bytes(b"P6 -2 -3 255\n" + bytes(18))
+    with pytest.raises(PpmError, match="-2x-3"):
+        load_ppm(p)
+
+
 def test_ppm_round_trip(tmp_path):
     rng = np.random.default_rng(0)
     img = ThumbnailImage(width=3, height=2, data=rng.integers(0, 256, 18).astype("u1").tobytes())

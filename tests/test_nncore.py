@@ -179,15 +179,31 @@ def test_lstm_zero_length_row_gives_zero_vector():
     assert (h[1] != 0).any()
 
 
-def test_lstm_gradients_match_finite_differences():
+def test_lstm_rows_match_each_row_run_alone():
+    """Length sorting must not mix rows: each row of a batch with shuffled,
+    tied and zero lengths equals that row run alone, unpadded."""
+    rng = np.random.default_rng(6)
+    wx, wh, b = rng.normal(size=(3, 16)), rng.normal(size=(4, 16)), rng.normal(size=16)
+    lengths = np.array([3, 0, 7, 3, 1, 7, 5])
+    x = rng.normal(size=(lengths.size, 9, 3))
+    h, _ = lstm_forward(x, wx, wh, b, lengths)
+    for r, n in enumerate(lengths):
+        alone, _ = lstm_forward(x[r : r + 1, :n], wx, wh, b, np.array([n]))
+        np.testing.assert_allclose(h[r], alone[0], atol=1e-12, rtol=0)
+    np.testing.assert_array_equal(h[1], np.zeros(4))
+
+
+@pytest.mark.parametrize("lengths", [[4, 2], [2, 4, 0, 3]], ids=["sorted", "unsorted"])
+def test_lstm_gradients_match_finite_differences(lengths):
     rng = np.random.default_rng(5)
     hidden = 3
-    x = Parameter("x", rng.normal(size=(2, 4, 2)) * 0.7)
+    lengths = np.array(lengths)
+    batch = lengths.size
+    x = Parameter("x", rng.normal(size=(batch, 4, 2)) * 0.7)
     wx = Parameter("wx", rng.normal(size=(2, 4 * hidden)) * 0.5)
     wh = Parameter("wh", rng.normal(size=(hidden, 4 * hidden)) * 0.5)
     b = Parameter("b", rng.normal(size=4 * hidden) * 0.5)
-    proj = rng.normal(size=(2, hidden))
-    lengths = np.array([4, 2])
+    proj = rng.normal(size=(batch, hidden))
 
     def loss_fn():
         h, cache = lstm_forward(x.value, wx.value, wh.value, b.value, lengths)
