@@ -42,15 +42,13 @@ class CheckpointError(ValueError):
 
 
 def _metadata(model: BaitRadarModel) -> dict:
-    enc = asdict(model.config)
-    enc["conv_channels"] = list(enc["conv_channels"])
     return {
         "format_version": FORMAT_VERSION,
         "fusion_dim": model.config.fusion_dim,
         "modalities": list(model.modalities),
         "head_arch": model.head_arch,
         "init_seed": model.init_seed,
-        "encoder": enc,
+        "encoder": asdict(model.config),
         "vocab_max_size": model.vocab.max_size,
         "vocab_min_freq": model.vocab.min_freq,
         "config_echo": model.config_echo,
@@ -158,15 +156,13 @@ def loads(data: bytes) -> BaitRadarModel:
             vocab_raw.decode("utf-8"), max_size=meta["vocab_max_size"],
             min_freq=meta["vocab_min_freq"],
         )
-        enc_meta = dict(meta["encoder"])
-        enc_meta["conv_channels"] = tuple(enc_meta["conv_channels"])
         model = BaitRadarModel.build(
-            meta["modalities"], vocab, norm, EncoderConfig(**enc_meta),
+            meta["modalities"], vocab, norm, EncoderConfig(**meta["encoder"]),
             seed=meta["init_seed"], head_arch=meta["head_arch"],
         )
     except KeyError as e:
         raise CheckpointError(f"checkpoint metadata has no {e.args[0]!r} entry") from None
-    except (TypeError, ValueError) as e:
+    except (TypeError, ValueError, RecursionError) as e:
         raise CheckpointError(f"checkpoint metadata or vocabulary is invalid: {e}") from None
     expected = set(model.params)
     missing = sorted(expected - set(tensors))

@@ -12,15 +12,13 @@ import json
 import sys
 from dataclasses import fields, replace
 from pathlib import Path
-from types import UnionType
-from typing import Union, get_args, get_origin, get_type_hints
 
 from . import checks, corpus, metrics, textpipe, training
 from .checkpoint import load_checkpoint, save_checkpoint
 from .corpus import SignalStrengths, SyntheticConfig
-from .encoders import EncoderConfig
+from .encoders import ConfigError, EncoderConfig
 from .modalities import MODALITIES, ModalityMask, parse_modalities
-from .training import TrainConfig
+from .training import TrainConfig, TrainingError
 
 
 class _UsageError(Exception):
@@ -130,36 +128,17 @@ def _build_parser() -> _Parser:
 
 _FLAG_FIELDS = (
     "regime", "batch_size", "max_epochs", "lr", "loss_threshold", "patience",
-    "modality_keep_prob", "vocab_max_size", "vocab_min_freq",
+    "modality_keep_prob", "vocab_max_size", "vocab_min_freq", "seed",
 )
 
 
-_JSON_SCALARS = {int: int, float: (int, float), str: str, type(None): type(None)}
-
-
-def _fits(value, hint) -> bool:
-    """Whether a JSON value can stand for a field annotated ``hint``: a list
-    stands for a tuple, and a bool is not a number."""
-    origin, args = get_origin(hint), get_args(hint)
-    if origin in (Union, UnionType):
-        return any(_fits(value, a) for a in args)
-    if origin is tuple:
-        if not isinstance(value, list):
-            return False
-        if args[-1] is Ellipsis:
-            args = args[:1] * len(value)
-        return len(value) == len(args) and all(map(_fits, value, args))
-    return isinstance(value, _JSON_SCALARS[hint]) and not isinstance(value, bool)
-
-
 def _read_config(path) -> dict:
-    """The --config file's fields. Anything but a JSON object of TrainConfig
-    fields, with EncoderConfig fields under "encoder" and each value of its
-    field's annotated type, is a usage error."""
+    """The --config file's fields: a JSON object of TrainConfig fields, with
+    EncoderConfig fields under "encoder". The configs check the values."""
     try:
         obj = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as e:
-        raise _UsageError(f"--config {path}: invalid JSON ({e.msg})") from None
+    except (ValueError, RecursionError) as e:  # bad UTF-8, bad or too deep JSON
+        raise _UsageError(f"--config {path}: invalid JSON ({e})") from None
     encoder = obj.get("encoder", {}) if isinstance(obj, dict) else None
     for part, cls, where in ((obj, TrainConfig, ""), (encoder, EncoderConfig, "encoder ")):
         if not isinstance(part, dict):
@@ -167,11 +146,6 @@ def _read_config(path) -> dict:
         unknown = sorted(set(part) - {f.name for f in fields(cls)})
         if unknown:
             raise _UsageError(f"--config {path}: unknown {where}fields {unknown}")
-        hints = get_type_hints(cls)
-        for f in fields(cls):
-            if f.name in part and f.name != "encoder" and not _fits(part[f.name], hints[f.name]):
-                raise _UsageError(f"--config {path}: {where}field {f.name!r} must be "
-                                  f"{f.type}, got {json.dumps(part[f.name])}")
     return obj
 
 
@@ -183,23 +157,15 @@ def make_train_config(args) -> TrainConfig:
         value = getattr(args, name, None)
         if value is not None:
             merged[name] = value
-    if getattr(args, "seed", None) is not None:
-        merged["seed"] = args.seed
     if getattr(args, "modalities", None):
         merged["modalities"] = parse_modalities(args.modalities)
-    elif "modalities" in merged:
-        merged["modalities"] = parse_modalities(",".join(merged["modalities"]))
-    enc_kwargs = dict(merged.pop("encoder", {}))
-    if "conv_channels" in enc_kwargs:
-        enc_kwargs["conv_channels"] = tuple(enc_kwargs["conv_channels"])
+    encoder = merged.pop("encoder", {})
     if getattr(args, "fusion_dim", None) is not None:
-        enc_kwargs["fusion_dim"] = args.fusion_dim
-    merged["encoder"] = replace(EncoderConfig(), **enc_kwargs)
-    return TrainConfig(**merged).validate()
-
-
-def _load_split(records, seed, channel_disjoint):
-    return corpus.split_dataset(records, seed, channel_disjoint=channel_disjoint)
+        encoder["fusion_dim"] = args.fusion_dim
+    try:
+        return TrainConfig(**merged, encoder=EncoderConfig(**encoder))
+    except (ConfigError, TrainingError) as e:
+        raise _UsageError(f"invalid configuration: {e}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -230,7 +196,7 @@ def cmd_gen_data(args) -> int:
 
 def cmd_build_vocab(args) -> int:
     records = corpus.load_jsonl(args.input)
-    split = _load_split(records, args.seed, args.channel_disjoint)
+    split = corpus.split_dataset(records, args.seed, args.channel_disjoint)
     train_recs = corpus.select_records(records, split.train)
     vocab = textpipe.build_vocab(
         textpipe.training_texts(train_recs), max_size=args.max_size, min_freq=args.min_freq
@@ -244,7 +210,7 @@ def cmd_train(args) -> int:
     cfg = make_train_config(args)
     records = corpus.load_jsonl(args.input)
     base_dir = Path(args.input).parent
-    split = _load_split(records, cfg.seed, args.channel_disjoint)
+    split = corpus.split_dataset(records, cfg.seed, args.channel_disjoint)
     inits = [load_checkpoint(p) for p in args.init]
     model, report = training.train(records, split, cfg, init=inits or None, base_dir=base_dir)
     save_checkpoint(model, args.out)
@@ -260,7 +226,7 @@ def cmd_train(args) -> int:
 def _eval_records(args, records):
     if args.split == "all":
         return records
-    split = _load_split(records, args.seed, args.channel_disjoint)
+    split = corpus.split_dataset(records, args.seed, args.channel_disjoint)
     return corpus.select_records(records, getattr(split, args.split))
 
 
@@ -284,7 +250,7 @@ def cmd_sweep(args) -> int:
     cfg = make_train_config(args)
     records = corpus.load_jsonl(args.input)
     base_dir = Path(args.input).parent
-    split = _load_split(records, cfg.seed, args.channel_disjoint)
+    split = corpus.split_dataset(records, cfg.seed, args.channel_disjoint)
     if args.combos:
         combos = [parse_modalities(part) for part in args.combos.split(";") if part.strip()]
     else:

@@ -164,15 +164,14 @@ def load_jsonl(path) -> list[VideoRecord]:
     path = Path(path)
     records: list[VideoRecord] = []
     seen: set[str] = set()
-    with path.open("r", encoding="utf-8") as fh:
+    with path.open("rb") as fh:
         for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
+            if not line.strip():
                 continue
             try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise CorpusError(f"{path}: line {lineno}: invalid JSON ({e.msg})") from e
+                obj = json.loads(line.decode("utf-8"))
+            except (ValueError, RecursionError) as e:  # bad UTF-8, bad or too deep JSON
+                raise CorpusError(f"{path}: line {lineno}: invalid JSON ({e})") from None
             try:
                 rec = _record_from_obj(obj)
             except CorpusError as e:

@@ -8,15 +8,50 @@ modality to its kind, so callers need not branch on kinds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Callable
+from types import UnionType
+from typing import Callable, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
 from . import nncore, textpipe
 from .corpus import STATS_FIELDS, ThumbnailImage, load_ppm
 from .modalities import TEXT_MODALITIES
+
+
+class ConfigError(ValueError):
+    """An encoder configuration field of the wrong type or out of range."""
+
+
+def _fits(value, hint) -> bool:
+    """Whether ``value`` can stand for a field annotated ``hint``: a list
+    stands for a tuple, an int for a float, and a bool is not a number."""
+    origin, args = get_origin(hint), get_args(hint)
+    if origin in (Union, UnionType):
+        return any(_fits(value, a) for a in args)
+    if origin is tuple:
+        if args[-1] is Ellipsis and isinstance(value, (list, tuple)):
+            args = args[:1] * len(value)
+        return (isinstance(value, (list, tuple)) and len(value) == len(args)
+                and all(map(_fits, value, args)))
+    return isinstance(value, (int, float) if hint is float else hint) and not isinstance(value, bool)
+
+
+def _check_fields(config, error: type[Exception], sizes, where: str = "") -> None:
+    """Raise ``error`` unless each field of the frozen dataclass ``config`` has
+    its annotated type (a list in a tuple field is stored as a tuple) and each
+    one named in ``sizes`` is at least 1."""
+    hints = get_type_hints(type(config))
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if not _fits(value, hints[f.name]):
+            raise error(f"{where}field {f.name!r} must be {f.type}, got {value!r:.40}")
+        if isinstance(value, list):
+            value = tuple(value)
+            object.__setattr__(config, f.name, value)
+        if f.name in sizes and min(value if isinstance(value, tuple) else (value,)) < 1:
+            raise error(f"{where}field {f.name!r} must be >= 1, got {value}")
 
 
 @dataclass(frozen=True)
@@ -30,12 +65,24 @@ class EncoderConfig:
     stats_hidden: int = 32
     head_hidden: int = 32
 
+    def __post_init__(self):
+        self.validate()
+
+    def validate(self) -> None:
+        _check_fields(self, ConfigError, [f.name for f in fields(self)], "encoder ")
+        # the side only shrinks, so a final side of at least 1 means that
+        # every conv output held a pooling window
+        if self.conv_flat_dim() < 1:
+            raise ConfigError(f"encoder field 'thumb_size' {self.thumb_size} is too small for "
+                              f"conv_kernel {self.conv_kernel} and pool_size {self.pool_size}")
+
     def conv_flat_dim(self) -> int:
-        """Flattened size after conv->pool->conv->pool on the square input."""
+        """Flattened size after conv->pool->conv->pool on the square input,
+        or 0 when the input is too small for that stack."""
         s = self.thumb_size
         for _ in self.conv_channels:
             s = (s - self.conv_kernel + 1) // self.pool_size
-        return self.conv_channels[-1] * s * s
+        return self.conv_channels[-1] * max(s, 0) ** 2
 
 
 class NormalizationError(ValueError):

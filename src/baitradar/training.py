@@ -6,13 +6,14 @@ validation-accuracy patience guard.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
 from . import nncore, textpipe
 from .corpus import DatasetSplit, select_records
-from .encoders import EncoderConfig, StatsNormalizer
+from .encoders import EncoderConfig, StatsNormalizer, _check_fields
+from .fusion import PROBABILITY_THRESHOLD
 from .model import BaitRadarModel, Features, featurize_record
 from .modalities import MODALITIES, ModalityMask
 from .textpipe import Vocabulary
@@ -48,17 +49,15 @@ class TrainConfig:
     vocab_min_freq: int = textpipe.DEFAULT_MIN_FREQ
     encoder: EncoderConfig = field(default_factory=EncoderConfig)
 
-    def validate(self) -> "TrainConfig":
+    def __post_init__(self):
+        self.validate()
+
+    def validate(self) -> None:
+        _check_fields(self, TrainingError, ("batch_size", "max_epochs", "patience"))
         if self.regime not in REGIMES:
             raise TrainingError(f"unknown regime {self.regime!r}, expected one of {REGIMES}")
-        if self.batch_size < 1:
-            raise TrainingError("batch_size must be >= 1")
-        if self.loss_threshold <= 0:
+        if not self.loss_threshold > 0:
             raise TrainingError("loss_threshold must be > 0")
-        if self.patience < 1:
-            raise TrainingError("patience must be >= 1")
-        if self.max_epochs < 1:
-            raise TrainingError("max_epochs must be >= 1")
         bad = [m for m in self.modalities if m not in MODALITIES]
         if bad or not self.modalities:
             raise TrainingError(f"invalid modality subset {self.modalities}")
@@ -66,16 +65,9 @@ class TrainConfig:
             raise TrainingError("individual regime trains exactly one modality")
         if self.modality_keep_prob is not None and not 0.0 < self.modality_keep_prob <= 1.0:
             raise TrainingError("modality_keep_prob must be in (0, 1]")
-        return self
 
     def to_echo(self) -> dict:
-        d = {k: getattr(self, k) for k in (
-            "regime", "batch_size", "max_epochs", "lr", "beta1", "beta2", "adam_eps",
-            "loss_threshold", "patience", "seed", "modality_keep_prob",
-            "vocab_max_size", "vocab_min_freq",
-        )}
-        d["modalities"] = list(self.modalities)
-        return d
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "encoder"}
 
 
 @dataclass
@@ -160,13 +152,13 @@ def _effective_masks(feats: list[Features], subset: ModalityMask,
 
 def batch_accuracy(model: BaitRadarModel, feats: list[Features], masks, labels,
                    chunk: int = 256) -> float:
-    """Forward-only accuracy at the 0.5 threshold (ties count as clickbait)."""
+    """Forward-only accuracy at the decision threshold (ties count as clickbait)."""
     if not feats:
         return 0.0
     hits = 0
     for lo in range(0, len(feats), chunk):
         probs, _ = model.forward_features(feats[lo : lo + chunk], masks[lo : lo + chunk])
-        hits += int(((probs >= 0.5) == (labels[lo : lo + chunk] >= 0.5)).sum())
+        hits += int(((probs >= PROBABILITY_THRESHOLD) == labels[lo : lo + chunk].astype(bool)).sum())
     return hits / len(feats)
 
 
@@ -185,7 +177,6 @@ def train(records, split: DatasetSplit, config: TrainConfig,
     finetune regimes; any parameter whose name matches is copied over, so a
     list of single-modality models transfers each encoder.
     """
-    config.validate()
     t_start = time.perf_counter()
     inits = [init] if isinstance(init, BaitRadarModel) else list(init or [])
     if config.regime in ("head_only", "finetune") and not inits:

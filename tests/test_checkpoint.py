@@ -100,6 +100,30 @@ def test_metadata_that_is_not_json_rejected(tiny_model):
         loads(_with_crc(bad))
 
 
+def test_deeply_nested_metadata_rejected():
+    payload = struct.pack("<I", FORMAT_VERSION)
+    for block in (b"[" * 100_000 + b"]" * 100_000, b""):
+        payload += struct.pack("<Q", len(block)) + block
+    payload += struct.pack("<II", 0, 0)
+    with pytest.raises(CheckpointError, match="metadata"):
+        loads(_with_crc(payload))
+
+
+@pytest.mark.parametrize("field,value", [("fusion_dim", 0), ("pool_size", 0),
+                                         ("conv_kernel", "x")])
+def test_invalid_encoder_metadata_rejected(tiny_prepared, monkeypatch, field, value):
+    # a title-only model never builds the thumbnail stack, so only the
+    # config's own check can reject pool_size and conv_kernel here
+    model = BaitRadarModel.build(("title",), tiny_prepared.vocab, tiny_prepared.stats_norm,
+                                 SMALL_ENCODER, seed=2)
+    full = checkpoint._metadata
+    monkeypatch.setattr(checkpoint, "_metadata", lambda m: {
+        **full(m), "encoder": {**full(m)["encoder"], field: value}})
+    data = dumps(model)  # a valid checksum over the bad metadata
+    with pytest.raises(CheckpointError, match=f"encoder field {field!r}"):
+        loads(data)
+
+
 def test_tensor_rank_above_numpy_limit_rejected():
     payload = struct.pack("<I", FORMAT_VERSION)
     for block in (b"{}", b""):

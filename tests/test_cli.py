@@ -190,6 +190,13 @@ def test_unknown_flag_exits_1(capsys):
     ('{"modality_keep_prob": [0.5]}', "'modality_keep_prob' must be float | None"),
     ('{"encoder": {"conv_channels": [2]}}', "encoder field 'conv_channels'"),
     ('{"encoder": {"fusion_dim": 8.5}}', "encoder field 'fusion_dim' must be int"),
+    ('{"encoder": {"fusion_dim": 0}}', "encoder field 'fusion_dim' must be >= 1"),
+    ('{"encoder": {"pool_size": 0}}', "encoder field 'pool_size' must be >= 1"),
+    ('{"encoder": {"thumb_size": 8}}', "encoder field 'thumb_size' 8 is too small"),
+    ('{"encoder": {"conv_channels": [0, 4]}}', "encoder field 'conv_channels' must be >= 1"),
+    ('{"encoder": {"embed_dim": -1}}', "encoder field 'embed_dim' must be >= 1"),
+    ('{"batch_size": 0}', "field 'batch_size' must be >= 1"),
+    pytest.param("[" * 100_000 + "]" * 100_000, "invalid JSON", id="deep-nesting"),
 ])
 def test_malformed_config_exits_1_with_one_line(workdir, tmp_path, capsys, text, named):
     cfg = tmp_path / "bad.json"
@@ -199,6 +206,28 @@ def test_malformed_config_exits_1_with_one_line(workdir, tmp_path, capsys, text,
     err = capsys.readouterr().err
     assert code == 1
     assert err.count("\n") == 1 and named in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("flag,value,named", [
+    ("--batch-size", "0", "'batch_size' must be >= 1"),
+    ("--fusion-dim", "0", "'fusion_dim' must be >= 1"),
+    ("--regime", "individual", "exactly one modality"),
+])
+def test_invalid_training_flag_exits_1_with_one_line(workdir, tmp_path, capsys, flag, value,
+                                                     named):
+    code = run(["train", "--in", str(workdir / "corpus.jsonl"), "--out", str(tmp_path / "m"),
+                flag, value])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.count("\n") == 1 and named in err and "Traceback" not in err
+
+
+def test_deeply_nested_corpus_exits_2_with_one_line(trained, tmp_path, capsys):
+    bad = tmp_path / "deep.jsonl"
+    bad.write_text("[" * 100_000 + "]" * 100_000 + "\n")
+    assert run(["predict", "--model", str(trained), "--in", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "line 1" in err
 
 
 def test_malformed_corpus_exits_2(trained, tmp_path):

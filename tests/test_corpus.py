@@ -3,8 +3,11 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from baitradar.corpus import (
+    STATS_FIELDS,
     CorpusError,
     PpmError,
     SignalStrengths,
@@ -20,6 +23,7 @@ from baitradar.corpus import (
     split_dataset,
     split_sizes,
     write_corpus,
+    _record_from_obj,
 )
 
 
@@ -119,6 +123,37 @@ def test_load_jsonl_rejects_wrong_field_type(tmp_path, field, value):
         load_jsonl(p)
 
 
+@pytest.mark.parametrize("bad_line", [
+    b"[" * 100_000 + b"]" * 100_000,
+    b'{"id": "b", "title": "caf\xe9"}',
+], ids=["deep-nesting", "not-utf8"])
+def test_load_jsonl_unreadable_line_names_line(tmp_path, bad_line):
+    p = tmp_path / "c.jsonl"
+    p.write_bytes(b'{"id": "a", "title": "x"}\n' + bad_line + b"\n")
+    with pytest.raises(CorpusError, match="line 2"):
+        load_jsonl(p)
+
+
+_RECORD_KEYS = st.sampled_from(
+    ["id", "channel_id", "title", "tags", "comments", "transcript", "stats", "thumbnail",
+     "label", *STATS_FIELDS]) | st.text(max_size=4)
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6)
+    | st.sampled_from(["clickbait", "non_clickbait", ""]),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(_RECORD_KEYS, inner, max_size=6),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(obj=st.dictionaries(_RECORD_KEYS, _JSON_VALUES, max_size=10) | _JSON_VALUES)
+def test_record_from_obj_raises_only_corpus_error(obj):
+    try:
+        _record_from_obj(obj)
+    except CorpusError:
+        pass
+
+
 def test_load_jsonl_rejects_stats_beyond_float_range(tmp_path):
     stats = {"views": 10**400, "likes": 0, "dislikes": 0, "comment_count": 0, "duration_s": 0}
     p = tmp_path / "c.jsonl"
@@ -188,6 +223,27 @@ def test_load_ppm_rejects_negative_size(tmp_path):
     p.write_bytes(b"P6 -2 -3 255\n" + bytes(18))
     with pytest.raises(PpmError, match="-2x-3"):
         load_ppm(p)
+
+
+_PPM_TOKENS = st.sampled_from(
+    [b"P6", b" ", b"\n", b"\t", b"#c\n", b"#", b"255", b"65535", b"0", b"1", b"2", b"-1",
+     b"+3", b"1_0", b"99999999999", b"x", b"\xff", b"\x00"]) | st.binary(max_size=3)
+
+
+@pytest.fixture(scope="module")
+def fuzz_ppm(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "f.ppm"
+
+
+@settings(max_examples=400, deadline=None)
+@given(head=st.lists(_PPM_TOKENS, max_size=10), payload=st.binary(max_size=40),
+       p6=st.booleans())
+def test_load_ppm_header_raises_only_ppm_error(fuzz_ppm, head, payload, p6):
+    fuzz_ppm.write_bytes((b"P6" if p6 else b"") + b"".join(head) + payload)
+    try:
+        load_ppm(fuzz_ppm)
+    except PpmError:
+        pass
 
 
 def test_ppm_round_trip(tmp_path):

@@ -11,6 +11,7 @@ from baitradar.corpus import (
     generate_synthetic,
     split_dataset,
 )
+from baitradar.encoders import ConfigError, EncoderConfig
 from baitradar.modalities import ModalityMask
 from baitradar.model import BaitRadarModel
 from baitradar.training import (
@@ -166,6 +167,18 @@ def test_config_validation():
         TrainConfig(modalities=("title", "audio")).validate()
     with pytest.raises(TrainingError):
         TrainConfig(modality_keep_prob=0.0).validate()
+    with pytest.raises(TrainingError, match="must be int"):
+        TrainConfig(patience=True)  # a bool is not a number
+    with pytest.raises(TrainingError, match="batch_size"):
+        dataclasses.replace(TrainConfig(), batch_size=0)
+    with pytest.raises(ConfigError, match="must be int"):
+        EncoderConfig(fusion_dim=True)
+    # conv 2 would output 2 - 5 + 1 = -2, and the final side of -1 squares
+    # back to a positive flattened size
+    with pytest.raises(ConfigError, match="thumb_size"):
+        EncoderConfig(thumb_size=8)
+    assert TrainConfig(modalities=["title"]).modalities == ("title",)
+    assert EncoderConfig(conv_channels=[2, 3]).conv_channels == (2, 3)
 
 
 # ---------------------------------------------------------------------------
