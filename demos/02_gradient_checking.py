@@ -2,10 +2,11 @@
 
 All layers here (dense, embedding, LSTM, convolution, pooling, the fused
 average and the classification head) ship hand-written gradients, so each one
-is probed numerically: perturb every parameter element by +-1e-5, difference
-the loss, and compare with the analytic gradient. The suite runs the same
-fragments as ``baitradar grad-check``; a corrupted backward pass shows what a
-failure looks like.
+is probed numerically: perturb every parameter element by +-1e-5 (+-1e-4 in
+the whole-model check, whose smallest LSTM gradients would otherwise drown in
+rounding error), difference the loss, and compare with the analytic gradient.
+The suite runs the same fragments as ``baitradar grad-check``; a corrupted
+backward pass shows what a failure looks like.
 """
 
 import numpy as np

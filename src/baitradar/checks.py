@@ -100,15 +100,15 @@ def check_conv_relu_pool(seed: int = 104) -> GradCheckReport:
     return grad_check(loss_fn, [x, kernels, bias])
 
 
-def check_fusion_head(seed: int = 105) -> GradCheckReport:
-    """Masked average of four present vectors into the mlp head and the
+def check_fusion_head(seed: int = 105, arch: str = "mlp") -> GradCheckReport:
+    """Masked average of four present vectors into the ``arch`` head and the
     cross-entropy loss."""
     rng = np.random.default_rng(seed)
     dim = 5
     mask = ModalityMask(title=True, thumbnail=True, comments=False,
                         audio_transcript=True, tags=False, statistics=True)
     vecs = {m: _param(rng, m, (2, dim)) for m in mask.names()}
-    head_values = fusion.init_head_params(dim, 4, "mlp", rng)
+    head_values = fusion.init_head_params(dim, 4, arch, rng)
     head = {n: Parameter(n, v) for n, v in head_values.items()}
     labels = np.array([1.0, 0.0])
     present = {m: np.array([True, True]) for m in mask.names()}
@@ -116,7 +116,7 @@ def check_fusion_head(seed: int = 105) -> GradCheckReport:
     def loss_fn():
         outputs = {m: vecs[m].value for m in vecs}
         fused, n = fusion.fuse_batch(outputs, present)
-        probs, cache = fusion.head_forward(fused, head, "mlp")
+        probs, cache = fusion.head_forward(fused, head, arch)
         loss = nncore.binary_cross_entropy(probs, labels)
         d_fused = fusion.head_backward(
             nncore.binary_cross_entropy_grad(probs, labels), cache, head
@@ -238,6 +238,7 @@ ALL_CHECKS = (
     ("lstm", check_lstm),
     ("conv_relu_pool", check_conv_relu_pool),
     ("fusion_head", check_fusion_head),
+    ("linear_head", lambda: check_fusion_head(arch="linear")),
     ("text_encoder", check_text_encoder),
     ("thumbnail_encoder", check_thumbnail_encoder),
     ("stats_encoder", check_stats_encoder),

@@ -142,6 +142,12 @@ def prepare_thumbnail(img: ThumbnailImage, size: int = 64) -> np.ndarray:
 # parameter construction
 # ---------------------------------------------------------------------------
 
+# layer names, which are also the parameter name prefixes
+_THUMBNAIL_CONVS = ("thumbnail.conv1", "thumbnail.conv2")
+_THUMBNAIL_DENSE = ("thumbnail.dense",)
+_STATS_LAYERS = ("statistics.dense1", "statistics.dense2")
+
+
 def init_text_params(modality: str, vocab_size: int, cfg: EncoderConfig,
                      rng: np.random.Generator) -> dict[str, np.ndarray]:
     e, h = cfg.embed_dim, cfg.fusion_dim
@@ -156,28 +162,21 @@ def init_text_params(modality: str, vocab_size: int, cfg: EncoderConfig,
 
 
 def init_thumbnail_params(cfg: EncoderConfig, rng: np.random.Generator) -> dict[str, np.ndarray]:
-    k = cfg.conv_kernel
-    c1, c2 = cfg.conv_channels
-    flat = cfg.conv_flat_dim()
-    d = cfg.fusion_dim
-    return {
-        "thumbnail.conv1.kernels": nncore.glorot_uniform(rng, (c1, 3, k, k), 3 * k * k, c1 * k * k),
-        "thumbnail.conv1.bias": np.zeros(c1),
-        "thumbnail.conv2.kernels": nncore.glorot_uniform(rng, (c2, c1, k, k), c1 * k * k, c2 * k * k),
-        "thumbnail.conv2.bias": np.zeros(c2),
-        "thumbnail.dense.w": nncore.glorot_uniform(rng, (flat, d), flat, d),
-        "thumbnail.dense.b": np.zeros(d),
-    }
+    k, c_in = cfg.conv_kernel, 3
+    values = {}
+    for conv, c_out in zip(_THUMBNAIL_CONVS, cfg.conv_channels):
+        values[f"{conv}.kernels"] = nncore.glorot_uniform(
+            rng, (c_out, c_in, k, k), c_in * k * k, c_out * k * k)
+        values[f"{conv}.bias"] = np.zeros(c_out)
+        c_in = c_out
+    values.update(nncore.init_dense_stack(
+        rng, _THUMBNAIL_DENSE, (cfg.conv_flat_dim(), cfg.fusion_dim)))
+    return values
 
 
 def init_stats_params(cfg: EncoderConfig, rng: np.random.Generator) -> dict[str, np.ndarray]:
-    n_in, hid, d = len(STATS_FIELDS), cfg.stats_hidden, cfg.fusion_dim
-    return {
-        "statistics.dense1.w": nncore.glorot_uniform(rng, (n_in, hid), n_in, hid),
-        "statistics.dense1.b": np.zeros(hid),
-        "statistics.dense2.w": nncore.glorot_uniform(rng, (hid, d), hid, d),
-        "statistics.dense2.b": np.zeros(d),
-    }
+    return nncore.init_dense_stack(
+        rng, _STATS_LAYERS, (len(STATS_FIELDS), cfg.stats_hidden, cfg.fusion_dim))
 
 
 # ---------------------------------------------------------------------------
@@ -218,62 +217,38 @@ def encode_thumbnail_forward(pixels, params, cfg: EncoderConfig):
     x = nncore.as_f64(pixels)
     if x.ndim != 4 or x.shape[1] != 3:
         raise nncore.ShapeError(f"thumbnail encoder expects [B,3,S,S], got {x.shape}")
-    c1, cache1 = nncore.conv2d_forward(
-        x, params["thumbnail.conv1.kernels"].value, params["thumbnail.conv1.bias"].value
-    )
-    r1, rcache1 = nncore.relu_forward(c1)
-    p1, pcache1 = nncore.max_pool2d_forward(r1, cfg.pool_size)
-    c2, cache2 = nncore.conv2d_forward(
-        p1, params["thumbnail.conv2.kernels"].value, params["thumbnail.conv2.bias"].value
-    )
-    r2, rcache2 = nncore.relu_forward(c2)
-    p2, pcache2 = nncore.max_pool2d_forward(r2, cfg.pool_size)
-    flat = p2.reshape(p2.shape[0], -1)
-    out, dcache = nncore.dense_forward(
-        flat, params["thumbnail.dense.w"].value, params["thumbnail.dense.b"].value
-    )
-    return out, (cache1, rcache1, pcache1, cache2, rcache2, pcache2, p2.shape, dcache)
+    conv_caches = []
+    for conv in _THUMBNAIL_CONVS:
+        x, conv_cache = nncore.conv2d_forward(
+            x, params[f"{conv}.kernels"].value, params[f"{conv}.bias"].value)
+        x, relu_cache = nncore.relu_forward(x)
+        x, pool_cache = nncore.max_pool2d_forward(x, cfg.pool_size)
+        conv_caches.append((conv, conv_cache, relu_cache, pool_cache))
+    out, dense_cache = nncore.dense_stack_forward(
+        x.reshape(x.shape[0], -1), params, _THUMBNAIL_DENSE)
+    return out, (conv_caches, x.shape, dense_cache)
 
 
 def encode_thumbnail_backward(d_out, cache, params):
-    cache1, rcache1, pcache1, cache2, rcache2, pcache2, p2_shape, dcache = cache
-    d_flat, d_w, d_b = nncore.dense_backward(d_out, dcache)
-    params["thumbnail.dense.w"].grad += d_w
-    params["thumbnail.dense.b"].grad += d_b
-    d_p2 = d_flat.reshape(p2_shape)
-    d_r2 = nncore.max_pool2d_backward(d_p2, pcache2)
-    d_c2 = nncore.relu_backward(d_r2, rcache2)
-    d_p1, d_k2, d_b2 = nncore.conv2d_backward(d_c2, cache2)
-    params["thumbnail.conv2.kernels"].grad += d_k2
-    params["thumbnail.conv2.bias"].grad += d_b2
-    d_r1 = nncore.max_pool2d_backward(d_p1, pcache1)
-    d_c1 = nncore.relu_backward(d_r1, rcache1)
-    _, d_k1, d_b1 = nncore.conv2d_backward(d_c1, cache1, need_dx=False)
-    params["thumbnail.conv1.kernels"].grad += d_k1
-    params["thumbnail.conv1.bias"].grad += d_b1
+    conv_caches, pooled_shape, dense_cache = cache
+    d_x = nncore.dense_stack_backward(d_out, dense_cache, params).reshape(pooled_shape)
+    for k in reversed(range(len(conv_caches))):
+        conv, conv_cache, relu_cache, pool_cache = conv_caches[k]
+        d_x = nncore.max_pool2d_backward(d_x, pool_cache)
+        d_x = nncore.relu_backward(d_x, relu_cache)
+        # the first layer's input is raw pixels, so it needs no input grad
+        d_x, d_kernels, d_bias = nncore.conv2d_backward(d_x, conv_cache, need_dx=k > 0)
+        params[f"{conv}.kernels"].grad += d_kernels
+        params[f"{conv}.bias"].grad += d_bias
 
 
 def encode_stats_forward(z, params):
     """z[B,5] (already log1p + z-scored) -> dense -> relu -> dense to d."""
-    h1, cache1 = nncore.dense_forward(
-        z, params["statistics.dense1.w"].value, params["statistics.dense1.b"].value
-    )
-    r1, rcache = nncore.relu_forward(h1)
-    out, cache2 = nncore.dense_forward(
-        r1, params["statistics.dense2.w"].value, params["statistics.dense2.b"].value
-    )
-    return out, (cache1, rcache, cache2)
+    return nncore.dense_stack_forward(z, params, _STATS_LAYERS)
 
 
 def encode_stats_backward(d_out, cache, params):
-    cache1, rcache, cache2 = cache
-    d_r1, d_w2, d_b2 = nncore.dense_backward(d_out, cache2)
-    params["statistics.dense2.w"].grad += d_w2
-    params["statistics.dense2.b"].grad += d_b2
-    d_h1 = nncore.relu_backward(d_r1, rcache)
-    _, d_w1, d_b1 = nncore.dense_backward(d_h1, cache1)
-    params["statistics.dense1.w"].grad += d_w1
-    params["statistics.dense1.b"].grad += d_b1
+    nncore.dense_stack_backward(d_out, cache, params)
 
 
 # ---------------------------------------------------------------------------

@@ -71,64 +71,34 @@ def fuse_batch_backward(d_fused, present: dict[str, np.ndarray], n: np.ndarray):
 # classification heads
 # ---------------------------------------------------------------------------
 
-def head_forward(fused, params, arch: str, prefix: str = "head"):
-    """Shared classification head on the fused vector.
+# the dense layers of each head architecture, as suffixes of its name prefix:
+# "mlp" is dense(d->hidden) -> relu -> dense(hidden->1), the combined-model
+# head; "linear" is dense(d->1), the private probe used when training one
+# modality on its own. Both end in a sigmoid.
+HEAD_LAYERS = {"mlp": (".dense1", ".dense2"), "linear": ("",)}
 
-    arch "mlp": dense(d->hidden) -> relu -> dense(hidden->1) -> sigmoid,
-    the combined-model head. arch "linear": dense(d->1) -> sigmoid, the
-    private probe used when training one modality on its own.
-    """
-    if arch == "mlp":
-        h1, c1 = nncore.dense_forward(
-            fused, params[f"{prefix}.dense1.w"].value, params[f"{prefix}.dense1.b"].value
-        )
-        r1, rc = nncore.relu_forward(h1)
-        logit, c2 = nncore.dense_forward(
-            r1, params[f"{prefix}.dense2.w"].value, params[f"{prefix}.dense2.b"].value
-        )
-        prob = nncore.sigmoid(logit[:, 0])
-        return prob, (arch, prefix, c1, rc, c2, prob)
-    if arch == "linear":
-        logit, c1 = nncore.dense_forward(
-            fused, params[f"{prefix}.w"].value, params[f"{prefix}.b"].value
-        )
-        prob = nncore.sigmoid(logit[:, 0])
-        return prob, (arch, prefix, c1, None, None, prob)
-    raise ValueError(f"unknown head architecture {arch!r}")
+
+def _head_layers(arch: str, prefix: str) -> tuple[str, ...]:
+    if arch not in HEAD_LAYERS:
+        raise ValueError(f"unknown head architecture {arch!r}")
+    return tuple(prefix + suffix for suffix in HEAD_LAYERS[arch])
+
+
+def head_forward(fused, params, arch: str, prefix: str = "head"):
+    """Shared classification head on the fused vector: probabilities [B]."""
+    logit, stack_cache = nncore.dense_stack_forward(fused, params, _head_layers(arch, prefix))
+    prob = nncore.sigmoid(logit[:, 0])
+    return prob, (stack_cache, prob)
 
 
 def head_backward(d_prob, cache, params):
-    arch, prefix, c1, rc, c2, prob = cache
+    stack_cache, prob = cache
     d_logit = nncore.sigmoid_backward(d_prob, prob)[:, None]
-    if arch == "mlp":
-        d_r1, d_w2, d_b2 = nncore.dense_backward(d_logit, c2)
-        params[f"{prefix}.dense2.w"].grad += d_w2
-        params[f"{prefix}.dense2.b"].grad += d_b2
-        d_h1 = nncore.relu_backward(d_r1, rc)
-        d_fused, d_w1, d_b1 = nncore.dense_backward(d_h1, c1)
-        params[f"{prefix}.dense1.w"].grad += d_w1
-        params[f"{prefix}.dense1.b"].grad += d_b1
-        return d_fused
-    d_fused, d_w, d_b = nncore.dense_backward(d_logit, c1)
-    params[f"{prefix}.w"].grad += d_w
-    params[f"{prefix}.b"].grad += d_b
-    return d_fused
+    return nncore.dense_stack_backward(d_logit, stack_cache, params)
 
 
 def init_head_params(cfg_fusion_dim: int, head_hidden: int, arch: str,
                      rng: np.random.Generator, prefix: str = "head") -> dict[str, np.ndarray]:
-    if arch == "mlp":
-        return {
-            f"{prefix}.dense1.w": nncore.glorot_uniform(
-                rng, (cfg_fusion_dim, head_hidden), cfg_fusion_dim, head_hidden
-            ),
-            f"{prefix}.dense1.b": np.zeros(head_hidden),
-            f"{prefix}.dense2.w": nncore.glorot_uniform(rng, (head_hidden, 1), head_hidden, 1),
-            f"{prefix}.dense2.b": np.zeros(1),
-        }
-    if arch == "linear":
-        return {
-            f"{prefix}.w": nncore.glorot_uniform(rng, (cfg_fusion_dim, 1), cfg_fusion_dim, 1),
-            f"{prefix}.b": np.zeros(1),
-        }
-    raise ValueError(f"unknown head architecture {arch!r}")
+    layers = _head_layers(arch, prefix)
+    sizes = (cfg_fusion_dim,) + (head_hidden,) * (len(layers) - 1) + (1,)
+    return nncore.init_dense_stack(rng, layers, sizes)

@@ -83,16 +83,15 @@ class BaitRadarModel:
             raise ModelError("a model needs at least one modality")
         if head_arch == "linear" and len(modalities) != 1:
             raise ModelError("the linear probe head is for single-modality models")
+        model = cls(config, vocab, stats_norm, modalities, head_arch, {}, init_seed=seed)
         rng = np.random.default_rng(seed)
         values: dict[str, np.ndarray] = {}
         for m in modalities:
             values.update(ENCODERS[m].init(m, len(vocab), config, rng))
-        prefix = "head" if head_arch == "mlp" else f"{modalities[0]}.head"
-        values.update(
-            fusion.init_head_params(config.fusion_dim, config.head_hidden, head_arch, rng, prefix)
-        )
-        params = {name: nncore.Parameter(name, values[name]) for name in sorted(values)}
-        return cls(config, vocab, stats_norm, modalities, head_arch, params, init_seed=seed)
+        values.update(fusion.init_head_params(
+            config.fusion_dim, config.head_hidden, head_arch, rng, model.head_prefix))
+        model.params = {name: nncore.Parameter(name, values[name]) for name in sorted(values)}
+        return model
 
     # -- parameter plumbing -------------------------------------------------
 

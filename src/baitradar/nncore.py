@@ -51,6 +51,42 @@ def glorot_uniform(rng: np.random.Generator, shape, fan_in: int, fan_out: int) -
 
 
 # ---------------------------------------------------------------------------
+# dense stack: the statistics encoder, both heads and the thumbnail projection
+# ---------------------------------------------------------------------------
+
+def init_dense_stack(rng: np.random.Generator, layers, sizes) -> dict[str, np.ndarray]:
+    """Glorot weights ``L.w`` and zero biases ``L.b`` for each layer L in
+    order; layer k maps sizes[k] -> sizes[k+1] (one more size than layers)."""
+    values = {}
+    for layer, n_in, n_out in zip(layers, sizes[:-1], sizes[1:], strict=True):
+        values[f"{layer}.w"] = glorot_uniform(rng, (n_in, n_out), n_in, n_out)
+        values[f"{layer}.b"] = np.zeros(n_out)
+    return values
+
+
+def dense_stack_forward(x, params, layers):
+    """The dense layers named in ``layers`` in order, with a ReLU between
+    each pair and none after the last. ``params`` maps names to Parameters."""
+    cache = []
+    for k, layer in enumerate(layers):
+        x, relu_cache = relu_forward(x) if k else (x, None)
+        x, dense_cache = dense_forward(x, params[f"{layer}.w"].value, params[f"{layer}.b"].value)
+        cache.append((layer, relu_cache, dense_cache))
+    return x, cache
+
+
+def dense_stack_backward(d_out, cache, params):
+    """Accumulates every layer's weight and bias grads; returns the input grad."""
+    for layer, relu_cache, dense_cache in reversed(cache):
+        d_out, d_w, d_b = dense_backward(d_out, dense_cache)
+        params[f"{layer}.w"].grad += d_w
+        params[f"{layer}.b"].grad += d_b
+        if relu_cache is not None:
+            d_out = relu_backward(d_out, relu_cache)
+    return d_out
+
+
+# ---------------------------------------------------------------------------
 # dense
 # ---------------------------------------------------------------------------
 

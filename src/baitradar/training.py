@@ -65,6 +65,19 @@ class TrainConfig:
             raise TrainingError("individual regime trains exactly one modality")
         if self.modality_keep_prob is not None and not 0.0 < self.modality_keep_prob <= 1.0:
             raise TrainingError("modality_keep_prob must be in (0, 1]")
+        # lr = 0 is allowed: it trains nothing, which tests use to pin weights
+        if not 0.0 <= self.lr < np.inf:
+            raise TrainingError(f"lr must be finite and >= 0, got {self.lr}")
+        for name in ("beta1", "beta2"):
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise TrainingError(f"{name} must be in [0, 1), got {getattr(self, name)}")
+        if not 0.0 < self.adam_eps < np.inf:
+            raise TrainingError(f"adam_eps must be finite and > 0, got {self.adam_eps}")
+        if self.seed < 0:
+            raise TrainingError(f"seed must be >= 0, got {self.seed}")
+        if self.vocab_max_size < 2:
+            raise TrainingError(f"vocab_max_size must be >= 2 (PAD and UNK), "
+                                f"got {self.vocab_max_size}")
 
     def to_echo(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "encoder"}

@@ -196,6 +196,11 @@ def test_unknown_flag_exits_1(capsys):
     ('{"encoder": {"conv_channels": [0, 4]}}', "encoder field 'conv_channels' must be >= 1"),
     ('{"encoder": {"embed_dim": -1}}', "encoder field 'embed_dim' must be >= 1"),
     ('{"batch_size": 0}', "field 'batch_size' must be >= 1"),
+    ('{"lr": -1}', "lr must be finite and >= 0"),
+    ('{"beta2": 1}', "beta2 must be in [0, 1)"),
+    ('{"adam_eps": 0}', "adam_eps must be finite and > 0"),
+    ('{"seed": -1}', "seed must be >= 0"),
+    ('{"vocab_max_size": 1}', "vocab_max_size must be >= 2"),
     pytest.param("[" * 100_000 + "]" * 100_000, "invalid JSON", id="deep-nesting"),
 ])
 def test_malformed_config_exits_1_with_one_line(workdir, tmp_path, capsys, text, named):

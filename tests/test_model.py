@@ -110,6 +110,26 @@ def test_parameter_names_follow_prefix_scheme(tiny_model):
         assert layer and tensor
 
 
+def test_dense_and_conv_tensor_names_and_shapes_are_pinned(tiny_model):
+    """Tensor names and shapes are the checkpoint format. At SMALL_ENCODER
+    the conv stack flattens to 3 channels x 2 x 2 = 12."""
+    shapes = {n: p.value.shape for n, p in tiny_model.params.items()
+              if n.split(".")[0] in ("thumbnail", "statistics", "head")}
+    assert shapes == {
+        "thumbnail.conv1.kernels": (2, 3, 3, 3), "thumbnail.conv1.bias": (2,),
+        "thumbnail.conv2.kernels": (3, 2, 3, 3), "thumbnail.conv2.bias": (3,),
+        "thumbnail.dense.w": (12, 8), "thumbnail.dense.b": (8,),
+        "statistics.dense1.w": (5, 6), "statistics.dense1.b": (6,),
+        "statistics.dense2.w": (6, 8), "statistics.dense2.b": (8,),
+        "head.dense1.w": (8, 6), "head.dense1.b": (6,),
+        "head.dense2.w": (6, 1), "head.dense2.b": (1,),
+    }
+    probe = BaitRadarModel.build(("tags",), tiny_model.vocab, tiny_model.stats_norm,
+                                 SMALL_ENCODER, seed=3, head_arch="linear")
+    heads = {n: p.value.shape for n, p in probe.params.items() if ".head." in n}
+    assert heads == {"tags.head.w": (8, 1), "tags.head.b": (1,)}
+
+
 def test_forward_batch_matches_per_record_predictions(tiny_model, tiny_records):
     """Batching is an implementation detail: probabilities must agree with
     one-record batches."""

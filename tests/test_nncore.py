@@ -86,6 +86,23 @@ def test_dense_backward_matches_finite_differences():
     assert grad_check(loss_fn, [x, w, b]).max_rel_err <= 1e-4
 
 
+def test_dense_stack_matches_hand_chain():
+    rng = np.random.default_rng(12)
+    values = nncore.init_dense_stack(rng, ("a", "b"), (3, 4, 2))
+    assert {n: v.shape for n, v in values.items()} == {
+        "a.w": (3, 4), "a.b": (4,), "b.w": (4, 2), "b.b": (2,)}
+    params = {n: Parameter(n, rng.normal(size=v.shape)) for n, v in values.items()}
+    x = rng.normal(size=(5, 3))
+    out, _ = nncore.dense_stack_forward(x, params, ("a", "b"))
+    hidden = np.maximum(x @ params["a.w"].value + params["a.b"].value, 0.0)
+    np.testing.assert_array_equal(out, hidden @ params["b.w"].value + params["b.b"].value)
+
+
+def test_dense_stack_sizes_must_match_layers():
+    with pytest.raises(ValueError):
+        nncore.init_dense_stack(np.random.default_rng(0), ("a", "b"), (3, 2))
+
+
 # ---------------------------------------------------------------------------
 # embedding
 # ---------------------------------------------------------------------------

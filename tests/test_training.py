@@ -181,6 +181,21 @@ def test_config_validation():
     assert EncoderConfig(conv_channels=[2, 3]).conv_channels == (2, 3)
 
 
+@pytest.mark.parametrize("field,value", [
+    ("lr", -1.0), ("lr", float("nan")), ("lr", float("inf")),
+    ("beta1", 1.0), ("beta1", -0.1), ("beta2", 1.0), ("beta2", float("nan")),
+    ("adam_eps", 0.0), ("adam_eps", float("inf")),
+    ("seed", -1), ("vocab_max_size", 1),
+])
+def test_out_of_range_optimizer_and_setup_values_rejected(field, value):
+    with pytest.raises(TrainingError, match=field):
+        TrainConfig(**{field: value})
+
+
+def test_range_edges_accepted():
+    TrainConfig(lr=0.0, beta1=0.0, beta2=0.0, adam_eps=1e-300, seed=0, vocab_max_size=2)
+
+
 # ---------------------------------------------------------------------------
 # individual models on planted signals
 # ---------------------------------------------------------------------------
