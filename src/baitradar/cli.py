@@ -27,9 +27,33 @@ class _UsageError(Exception):
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise _UsageError(message)
+
+
+def _modalities(text: str) -> tuple[str, ...]:
+    try:
+        return parse_modalities(text)
+    except ValueError as e:
+        raise argparse.ArgumentTypeError(str(e)) from None
+
+
+def _combos(text: str) -> list[tuple[str, ...]]:
+    return [_modalities(part) for part in text.split(";") if part.strip()]
+
+
+def _int_at_least(low: int):
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+    parse.__name__ = "int"  # argparse names the type in "invalid int value"
+    return parse
+
+
+_seed = _int_at_least(0)
+_vocab_size = _int_at_least(2)  # PAD and UNK
 
 
 def _build_parser() -> _Parser:
@@ -39,7 +63,7 @@ def _build_parser() -> _Parser:
     g = sub.add_parser("gen-data", parents=[], help="generate a synthetic corpus")
     g.add_argument("--n", type=int, required=True, help="number of records")
     g.add_argument("--ratio", type=float, default=0.5, help="clickbait fraction")
-    g.add_argument("--seed", type=int, default=0)
+    g.add_argument("--seed", type=_seed, default=0)
     g.add_argument("--out", required=True, help="output JSONL path")
     g.add_argument("--signals", type=float, default=None,
                    help="uniform signal strength for all modalities")
@@ -51,15 +75,15 @@ def _build_parser() -> _Parser:
     v = sub.add_parser("build-vocab", help="build a vocabulary from a corpus training split")
     v.add_argument("--in", dest="input", required=True)
     v.add_argument("--out", required=True)
-    v.add_argument("--seed", type=int, default=0)
+    v.add_argument("--seed", type=_seed, default=0)
     v.add_argument("--channel-disjoint", action="store_true")
-    v.add_argument("--max-size", type=int, default=textpipe.DEFAULT_VOCAB_SIZE)
+    v.add_argument("--max-size", type=_vocab_size, default=textpipe.DEFAULT_VOCAB_SIZE)
     v.add_argument("--min-freq", type=int, default=textpipe.DEFAULT_MIN_FREQ)
 
     def add_train_flags(sp):
         sp.add_argument("--config", help="JSON file with TrainConfig fields")
         sp.add_argument("--regime", choices=training.REGIMES)
-        sp.add_argument("--modalities", help="comma-separated modality subset")
+        sp.add_argument("--modalities", type=_modalities, help="comma-separated modality subset")
         sp.add_argument("--batch-size", type=int)
         sp.add_argument("--max-epochs", type=int)
         sp.add_argument("--lr", type=float)
@@ -67,14 +91,14 @@ def _build_parser() -> _Parser:
         sp.add_argument("--patience", type=int)
         sp.add_argument("--modality-keep-prob", type=float)
         sp.add_argument("--fusion-dim", type=int)
-        sp.add_argument("--vocab-max-size", type=int)
+        sp.add_argument("--vocab-max-size", type=_vocab_size)
         sp.add_argument("--vocab-min-freq", type=int)
         sp.add_argument("--channel-disjoint", action="store_true")
 
     t = sub.add_parser("train", help="train a model")
     t.add_argument("--in", dest="input", required=True)
     t.add_argument("--out", required=True, help="checkpoint output path")
-    t.add_argument("--seed", type=int, help="drives the split, init, and shuffling")
+    t.add_argument("--seed", type=_seed, help="drives the split, init, and shuffling")
     t.add_argument("--init", action="append", default=[],
                    help="pretrained checkpoint (repeatable; for head_only/finetune)")
     t.add_argument("--report", help="write the per-epoch report as JSON lines")
@@ -83,17 +107,17 @@ def _build_parser() -> _Parser:
     e = sub.add_parser("eval", help="evaluate a checkpoint on labeled records")
     e.add_argument("--model", required=True)
     e.add_argument("--in", dest="input", required=True)
-    e.add_argument("--modalities", help="evaluation-time modality mask")
+    e.add_argument("--modalities", type=_modalities, help="evaluation-time modality mask")
     e.add_argument("--split", choices=("all", "train", "validation", "test"), default="all")
-    e.add_argument("--seed", type=int, default=0, help="split seed when --split is not all")
+    e.add_argument("--seed", type=_seed, default=0, help="split seed when --split is not all")
     e.add_argument("--channel-disjoint", action="store_true")
 
     s = sub.add_parser("sweep", help="train and rank title-anchored modality combinations")
     s.add_argument("--in", dest="input", required=True)
-    s.add_argument("--seed", type=int, required=True,
+    s.add_argument("--seed", type=_seed, required=True,
                    help="mandatory; sweeps must be reproducible")
     s.add_argument("--out-dir", required=True)
-    s.add_argument("--combos",
+    s.add_argument("--combos", type=_combos,
                    help='semicolon-separated sets, e.g. "title;title+tags" (title is required '
                         "in each; the full six-modality set is always added)")
     s.add_argument("--gnuplot", action="store_true", help="also write sweep.dat")
@@ -102,7 +126,7 @@ def _build_parser() -> _Parser:
     pr = sub.add_parser("predict", help="classify records from a file or flags")
     pr.add_argument("--model", required=True)
     pr.add_argument("--in", dest="input", help="JSONL file of records")
-    pr.add_argument("--modalities", help="restrict the modalities consulted")
+    pr.add_argument("--modalities", type=_modalities, help="restrict the modalities consulted")
     pr.add_argument("--id", default="record0")
     pr.add_argument("--channel-id", default="")
     pr.add_argument("--title")
@@ -158,7 +182,7 @@ def make_train_config(args) -> TrainConfig:
         if value is not None:
             merged[name] = value
     if getattr(args, "modalities", None):
-        merged["modalities"] = parse_modalities(args.modalities)
+        merged["modalities"] = args.modalities
     encoder = merged.pop("encoder", {})
     if getattr(args, "fusion_dim", None) is not None:
         encoder["fusion_dim"] = args.fusion_dim
@@ -234,7 +258,7 @@ def cmd_eval(args) -> int:
     model = load_checkpoint(args.model)
     records = corpus.load_jsonl(args.input)
     base_dir = Path(args.input).parent
-    subset = ModalityMask.from_names(parse_modalities(args.modalities)) if args.modalities else None
+    subset = ModalityMask.from_names(args.modalities) if args.modalities else None
     result = metrics.evaluate(model, _eval_records(args, records), subset=subset,
                               base_dir=base_dir)
     cm = result.cm
@@ -251,10 +275,7 @@ def cmd_sweep(args) -> int:
     records = corpus.load_jsonl(args.input)
     base_dir = Path(args.input).parent
     split = corpus.split_dataset(records, cfg.seed, args.channel_disjoint)
-    if args.combos:
-        combos = [parse_modalities(part) for part in args.combos.split(";") if part.strip()]
-    else:
-        combos = metrics.DEFAULT_COMBINATIONS
+    combos = args.combos or metrics.DEFAULT_COMBINATIONS
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     result = metrics.sweep_combinations(records, split, cfg, combinations=combos,
@@ -294,9 +315,8 @@ def cmd_predict(args) -> int:
     else:
         records = [_record_from_flags(args)]
         base_dir = Path.cwd()
-    subset = ModalityMask.from_names(parse_modalities(args.modalities)) if args.modalities else None
-    for rec in records:
-        pred = model.predict(rec, subset=subset, base_dir=base_dir)
+    subset = ModalityMask.from_names(args.modalities) if args.modalities else None
+    for pred in model.predict_many(records, subset, base_dir):
         print(json.dumps(pred.to_json_obj()))
     return 0
 

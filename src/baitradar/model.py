@@ -15,6 +15,9 @@ from .encoders import ENCODERS, EncoderConfig, StatsNormalizer
 from .modalities import MODALITIES, ModalityMask
 from .textpipe import Vocabulary
 
+# rows per forward-only pass; it bounds the caches a pass builds (im2col above all)
+SCORE_CHUNK = 32
+
 
 class ModelError(ValueError):
     """Prediction requested beyond the model's capabilities."""
@@ -169,17 +172,31 @@ class BaitRadarModel:
             raise ModelError(f"record {record.id!r}: no usable modalities under the requested mask")
         return effective
 
+    def score(self, feats: list[Features], masks: list[ModalityMask]) -> np.ndarray:
+        """Forward-only probabilities, in passes of at most ``SCORE_CHUNK`` rows."""
+        parts = [
+            self.forward_features(feats[lo : lo + SCORE_CHUNK], masks[lo : lo + SCORE_CHUNK])[0]
+            for lo in range(0, len(feats), SCORE_CHUNK)
+        ]
+        return np.concatenate(parts) if parts else np.zeros(0)
+
+    def predict_many(self, records, subset: ModalityMask | None = None,
+                     base_dir=None) -> list[fusion.Prediction]:
+        """Classify records on their ``effective_mask``s, all checked before
+        any record is featurized; each output records the mask it used."""
+        records = list(records)
+        masks = [self.effective_mask(r, subset) for r in records]
+        feats = [
+            featurize_record(r, self.vocab, self.stats_norm, self.config,
+                             base_dir=base_dir, modalities=mask.names())
+            for r, mask in zip(records, masks)
+        ]
+        return [
+            fusion.Prediction(id=r.id, probability=p, label=fusion.decide_label(p), mask_used=mask)
+            for r, p, mask in zip(records, self.score(feats, masks).tolist(), masks)
+        ]
+
     def predict(self, record: VideoRecord, subset: ModalityMask | None = None,
                 base_dir=None) -> fusion.Prediction:
-        """Classify one record using only the requested-and-available
-        modalities; the mask actually used is recorded on the output."""
-        effective = self.effective_mask(record, subset)
-        feats = featurize_record(
-            record, self.vocab, self.stats_norm, self.config,
-            base_dir=base_dir, modalities=effective.names(),
-        )
-        probs, _ = self.forward_features([feats], [effective])
-        prob = float(probs[0])
-        return fusion.Prediction(
-            id=record.id, probability=prob, label=fusion.decide_label(prob), mask_used=effective,
-        )
+        """Classify one record; see ``predict_many``."""
+        return self.predict_many([record], subset, base_dir)[0]

@@ -150,29 +150,12 @@ def _labels_of(feats: list[Features], context: str) -> np.ndarray:
     return np.array(labels, dtype=np.float64)
 
 
-def _effective_masks(feats: list[Features], subset: ModalityMask,
-                     context: str) -> list[ModalityMask]:
-    masks = []
-    for f in feats:
-        eff = f.present.intersect(subset)
-        if eff.count() == 0:
-            raise TrainingError(
-                f"{context}: record {f.id!r} has no usable modalities under the subset"
-            )
-        masks.append(eff)
-    return masks
-
-
-def batch_accuracy(model: BaitRadarModel, feats: list[Features], masks, labels,
-                   chunk: int = 256) -> float:
+def batch_accuracy(model: BaitRadarModel, feats: list[Features], masks, labels) -> float:
     """Forward-only accuracy at the decision threshold (ties count as clickbait)."""
     if not feats:
         return 0.0
-    hits = 0
-    for lo in range(0, len(feats), chunk):
-        probs, _ = model.forward_features(feats[lo : lo + chunk], masks[lo : lo + chunk])
-        hits += int(((probs >= PROBABILITY_THRESHOLD) == labels[lo : lo + chunk].astype(bool)).sum())
-    return hits / len(feats)
+    hits = (model.score(feats, masks) >= PROBABILITY_THRESHOLD) == labels.astype(bool)
+    return int(hits.sum()) / len(feats)
 
 
 def train(records, split: DatasetSplit, config: TrainConfig,
@@ -218,13 +201,12 @@ def train(records, split: DatasetSplit, config: TrainConfig,
         model.load_param_values(src.copy_param_values())
     model.config_echo = config.to_echo()
 
-    subset = ModalityMask.from_names(config.modalities)
     train_feats = [prepared.features[rid] for rid in split.train]
     val_feats = [prepared.features[rid] for rid in split.validation]
     train_labels = _labels_of(train_feats, "training split")
     val_labels = _labels_of(val_feats, "validation split") if val_feats else np.zeros(0)
-    train_masks = _effective_masks(train_feats, subset, "training split")
-    val_masks = _effective_masks(val_feats, subset, "validation split")
+    train_masks = [model.effective_mask(r, None) for r in select_records(records, split.train)]
+    val_masks = [model.effective_mask(r, None) for r in select_records(records, split.validation)]
 
     trainable = model.parameters(trainable_only_head=config.regime == "head_only")
     n_train = len(train_feats)

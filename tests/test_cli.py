@@ -227,6 +227,50 @@ def test_invalid_training_flag_exits_1_with_one_line(workdir, tmp_path, capsys, 
     assert err.count("\n") == 1 and named in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv,named", [
+    (["train", "--out", "m", "--modalities", "bogus"], "unknown modality 'bogus'"),
+    (["sweep", "--out-dir", "d", "--seed", "1", "--modalities", "bogus"], "unknown modality"),
+    (["sweep", "--out-dir", "d", "--seed", "1", "--combos", "title;bogus"], "--combos"),
+    (["eval", "--model", "MISSING", "--modalities", "bogus"], "unknown modality 'bogus'"),
+    (["predict", "--model", "MISSING", "--modalities", "bogus"], "unknown modality 'bogus'"),
+    (["gen-data", "--n", "5", "--out", "c.jsonl", "--seed", "-1"], "--seed: must be >= 0"),
+    (["build-vocab", "--out", "v.txt", "--seed", "-1"], "--seed: must be >= 0"),
+    (["eval", "--model", "MISSING", "--seed", "-1"], "--seed: must be >= 0"),
+    (["train", "--out", "m", "--seed", "-1"], "--seed: must be >= 0"),
+    (["build-vocab", "--out", "v.txt", "--max-size", "1"], "--max-size: must be >= 2"),
+    (["train", "--out", "m", "--vocab-max-size", "1"], "--vocab-max-size: must be >= 2"),
+    (["build-vocab", "--out", "v.txt", "--max-size", "ten"], "invalid int value: 'ten'"),
+])
+def test_bad_flag_value_exits_1_with_one_line_before_reading_data(tmp_path, capsys, monkeypatch,
+                                                                   argv, named):
+    """The input files do not exist: a check that ran after reading them
+    would exit 2."""
+    monkeypatch.chdir(tmp_path)
+    if argv[0] != "gen-data":
+        argv = argv + ["--in", "missing.jsonl"]
+    code = run(argv)
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.count("\n") == 1 and named in err and "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_predict_prints_nothing_when_a_record_has_no_usable_modality(trained, workdir, tmp_path,
+                                                                     capsys):
+    lines = (workdir / "corpus.jsonl").read_text().splitlines()[:6]
+    bad = json.loads(lines[5])
+    bad["tags"] = None
+    lines[5] = json.dumps(bad)
+    path = tmp_path / "six.jsonl"
+    path.write_text("\n".join(lines) + "\n")
+    code = run(["predict", "--model", str(trained), "--in", str(path), "--modalities", "tags"])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert err == (f"baitradar predict: error: record {bad['id']!r}: "
+                   "no usable modalities under the requested mask\n")
+
+
 def test_deeply_nested_corpus_exits_2_with_one_line(trained, tmp_path, capsys):
     bad = tmp_path / "deep.jsonl"
     bad.write_text("[" * 100_000 + "]" * 100_000 + "\n")

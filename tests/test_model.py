@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from baitradar import encoders, fusion
-from baitradar.model import BaitRadarModel, ModelError, featurize_record
+from baitradar.model import SCORE_CHUNK, BaitRadarModel, ModelError, featurize_record
 from baitradar.modalities import MODALITIES, ModalityMask
 
 from conftest import SMALL_ENCODER
@@ -147,3 +147,74 @@ def test_forward_batch_matches_per_record_predictions(tiny_model, tiny_records):
 def test_load_param_values_shape_guard(tiny_model):
     with pytest.raises(ModelError):
         tiny_model.load_param_values({"head.dense1.w": np.zeros((2, 2))})
+
+
+def _with_gaps(records):
+    """The records with comments, the thumbnail or the statistics removed
+    from every third, fifth and seventh record respectively."""
+    out = []
+    for i, rec in enumerate(records):
+        if i % 3 == 0:
+            rec = dataclasses.replace(rec, comments=None)
+        if i % 5 == 0:
+            rec = dataclasses.replace(rec, thumbnail_path=None, thumbnail_image=None)
+        if i % 7 == 0:
+            rec = dataclasses.replace(rec, stats=None)
+        out.append(rec)
+    return out
+
+
+@pytest.mark.parametrize("subset", [None, ("title", "tags")])
+def test_predict_many_agrees_with_per_record_predict(tiny_model, tiny_records, subset):
+    """All 40 records span two score passes; batching changes no label or
+    mask and moves a probability by at most rounding."""
+    records = _with_gaps(tiny_records)
+    mask = ModalityMask.from_names(subset) if subset else None
+    many = tiny_model.predict_many(records, mask)
+    assert len(many) == len(records) > SCORE_CHUNK
+    for rec, got in zip(records, many):
+        one = tiny_model.predict(rec, mask)
+        assert (got.id, got.label, got.mask_used) == (one.id, one.label, one.mask_used)
+        assert abs(got.probability - one.probability) <= 1e-12
+    if subset is None:
+        assert {p.mask_used.count() for p in many} == {3, 4, 5, 6}
+
+
+def test_predict_many_of_no_records_is_empty(tiny_model):
+    assert tiny_model.predict_many([]) == []
+    assert tiny_model.score([], []).shape == (0,)
+
+
+def test_predict_many_checks_every_mask_before_featurizing(tiny_model, tiny_records,
+                                                            monkeypatch):
+    """A record with no usable modality fails the whole call before any
+    record is featurized, so no partial output can escape."""
+    import baitradar.model as model_module
+
+    calls = []
+    monkeypatch.setattr(model_module, "featurize_record",
+                        lambda *a, **k: calls.append(a) or featurize_record(*a, **k))
+    records = list(tiny_records[:6])
+    records[5] = dataclasses.replace(records[5], tags=None)
+    with pytest.raises(ModelError, match=records[5].id):
+        tiny_model.predict_many(records, ModalityMask.from_names(["tags"]))
+    assert calls == []
+
+
+def test_score_runs_passes_of_at_most_score_chunk_rows(tiny_model, tiny_records, monkeypatch):
+    """Pins the memory bound: 40 rows are scored as one pass of 32 and one
+    of 8, never as one 40-row pass."""
+    feats = [featurize(tiny_model, r) for r in tiny_records]
+    masks = [f.present for f in feats]
+    expected = tiny_model.score(feats, masks)
+    sizes = []
+    original = tiny_model.forward_features
+
+    def spy(batch, batch_masks):
+        sizes.append(len(batch))
+        return original(batch, batch_masks)
+
+    monkeypatch.setattr(tiny_model, "forward_features", spy)
+    probs = tiny_model.score(feats, masks)
+    assert SCORE_CHUNK == 32 and sizes == [32, 8]
+    np.testing.assert_array_equal(probs, expected)

@@ -20,6 +20,7 @@ from baitradar.training import (
     TrainConfig,
     TrainingError,
     _drop_modalities,
+    batch_accuracy,
     prepare_corpus,
     train,
     train_individual,
@@ -134,6 +135,30 @@ def test_unlabeled_training_record_rejected(tiny_records, tiny_split, tiny_confi
     prepared = prepare_corpus(stripped, tiny_split, tiny_config)
     with pytest.raises(TrainingError, match="label"):
         train(stripped, tiny_split, quick_config(), prepared=prepared)
+
+
+def test_record_without_a_usable_modality_is_named(tiny_records, tiny_split):
+    """A thumbnail-only model cannot train on a record that has no thumbnail;
+    the error names the record before any batch runs."""
+    victim = tiny_split.train[3]
+    records = [dataclasses.replace(r, thumbnail_path=None, thumbnail_image=None)
+               if r.id == victim else r for r in tiny_records]
+    with pytest.raises(ValueError, match=victim):
+        train(records, tiny_split, quick_config(modalities=("thumbnail",)))
+
+
+def test_batch_accuracy_counts_like_one_row_forwards(tiny_model, tiny_prepared):
+    """40 rows cross a score-pass boundary; the count must equal the one
+    from one forward per row."""
+    feats = list(tiny_prepared.features.values())
+    masks = [f.present for f in feats]
+    labels = np.array([f.label for f in feats])
+    assert len(feats) == 40
+    hits = sum(
+        int((tiny_model.forward_features([f], [m])[0][0] >= 0.5) == bool(y))
+        for f, m, y in zip(feats, masks, labels)
+    )
+    assert batch_accuracy(tiny_model, feats, masks, labels) == hits / 40
 
 
 def test_modality_dropout_never_empties_mask():
