@@ -22,36 +22,45 @@ def _param(rng, name, shape, scale=0.6):
     return Parameter(name, rng.uniform(-scale, scale, size=shape))
 
 
+def _params(values) -> dict[str, Parameter]:
+    return {n: Parameter(n, v) for n, v in values.items()}
+
+
+def _probe(params, weights, run) -> GradCheckReport:
+    """Finite-difference check of ``params`` under the loss sum(out * weights),
+    where ``out = run(weights)`` runs the fragment forward and backpropagates
+    ``weights`` into each parameter's .grad."""
+    return grad_check(lambda: float((run(weights) * weights).sum()), params)
+
+
+def _add_grads(params, grads) -> None:
+    for p, g in zip(params, grads):
+        p.grad += g
+
+
 def check_dense(seed: int = 101) -> GradCheckReport:
     rng = np.random.default_rng(seed)
-    x = _param(rng, "x", (2, 3))
-    w = _param(rng, "w", (3, 2))
-    b = _param(rng, "b", (2,))
-    weights = rng.normal(size=(2, 2))
+    params = [_param(rng, "x", (2, 3)), _param(rng, "w", (3, 2)), _param(rng, "b", (2,))]
 
-    def loss_fn():
-        out, cache = nncore.dense_forward(x.value, w.value, b.value)
-        dx, dw, db = nncore.dense_backward(weights, cache)
-        x.grad += dx
-        w.grad += dw
-        b.grad += db
-        return float((out * weights).sum())
+    def run(weights):
+        out, cache = nncore.dense_forward(*(p.value for p in params))
+        _add_grads(params, nncore.dense_backward(weights, cache))
+        return out
 
-    return grad_check(loss_fn, [x, w, b])
+    return _probe(params, rng.normal(size=(2, 2)), run)
 
 
 def check_embedding(seed: int = 102) -> GradCheckReport:
     rng = np.random.default_rng(seed)
     table = _param(rng, "table", (5, 3))
     ids = np.array([[2, 1, 0], [4, 4, 1]])
-    weights = rng.normal(size=(2, 3, 3))
 
-    def loss_fn():
+    def run(weights):
         out, cache = nncore.embedding_forward(ids, table.value)
         table.grad += nncore.embedding_backward(weights, cache, 5)
-        return float((out * weights).sum())
+        return out
 
-    return grad_check(loss_fn, [table])
+    return _probe([table], rng.normal(size=(2, 3, 3)), run)
 
 
 def check_lstm(seed: int = 103) -> GradCheckReport:
@@ -59,45 +68,32 @@ def check_lstm(seed: int = 103) -> GradCheckReport:
     hidden = 3
     # unsorted lengths with a zero row, so the length sort is checked too
     lengths = np.array([2, 4, 0])
-    x = _param(rng, "x", (3, 4, 3))
-    wx = _param(rng, "wx", (3, 4 * hidden))
-    wh = _param(rng, "wh", (hidden, 4 * hidden))
-    b = _param(rng, "b", (4 * hidden,))
-    weights = rng.normal(size=(3, hidden))
+    params = [_param(rng, "x", (3, 4, 3)), _param(rng, "wx", (3, 4 * hidden)),
+              _param(rng, "wh", (hidden, 4 * hidden)), _param(rng, "b", (4 * hidden,))]
 
-    def loss_fn():
-        h, cache = nncore.lstm_forward(x.value, wx.value, wh.value, b.value, lengths)
-        dx, dwx, dwh, db = nncore.lstm_backward(weights, cache)
-        x.grad += dx
-        wx.grad += dwx
-        wh.grad += dwh
-        b.grad += db
-        return float((h * weights).sum())
+    def run(weights):
+        h, cache = nncore.lstm_forward(*(p.value for p in params), lengths)
+        _add_grads(params, nncore.lstm_backward(weights, cache))
+        return h
 
-    return grad_check(loss_fn, [x, wx, wh, b])
+    return _probe(params, rng.normal(size=(3, hidden)), run)
 
 
 def check_conv_relu_pool(seed: int = 104) -> GradCheckReport:
     rng = np.random.default_rng(seed)
-    x = _param(rng, "x", (2, 2, 6, 6))
-    kernels = _param(rng, "kernels", (3, 2, 3, 3))
-    bias = _param(rng, "bias", (3,))
-    weights = rng.normal(size=(2, 3, 2, 2))
+    params = [_param(rng, "x", (2, 2, 6, 6)), _param(rng, "kernels", (3, 2, 3, 3)),
+              _param(rng, "bias", (3,))]
 
-    def loss_fn():
-        c, c_cache = nncore.conv2d_forward(x.value, kernels.value, bias.value)
+    def run(weights):
+        c, c_cache = nncore.conv2d_forward(*(p.value for p in params))
         r, r_cache = nncore.relu_forward(c)
         p, p_cache = nncore.max_pool2d_forward(r, 2)
-        d_p = weights
-        d_r = nncore.max_pool2d_backward(d_p, p_cache)
+        d_r = nncore.max_pool2d_backward(weights, p_cache)
         d_c = nncore.relu_backward(d_r, r_cache)
-        dx, dk, db = nncore.conv2d_backward(d_c, c_cache)
-        x.grad += dx
-        kernels.grad += dk
-        bias.grad += db
-        return float((p * weights).sum())
+        _add_grads(params, nncore.conv2d_backward(d_c, c_cache))
+        return p
 
-    return grad_check(loss_fn, [x, kernels, bias])
+    return _probe(params, rng.normal(size=(2, 3, 2, 2)), run)
 
 
 def check_fusion_head(seed: int = 105, arch: str = "mlp") -> GradCheckReport:
@@ -108,8 +104,7 @@ def check_fusion_head(seed: int = 105, arch: str = "mlp") -> GradCheckReport:
     mask = ModalityMask(title=True, thumbnail=True, comments=False,
                         audio_transcript=True, tags=False, statistics=True)
     vecs = {m: _param(rng, m, (2, dim)) for m in mask.names()}
-    head_values = fusion.init_head_params(dim, 4, arch, rng)
-    head = {n: Parameter(n, v) for n, v in head_values.items()}
+    head = _params(fusion.init_head_params(dim, 4, arch, rng))
     labels = np.array([1.0, 0.0])
     present = {m: np.array([True, True]) for m in mask.names()}
 
@@ -136,49 +131,42 @@ _TINY = EncoderConfig(fusion_dim=4, embed_dim=3, conv_channels=(2, 3), conv_kern
 def check_text_encoder(seed: int = 106) -> GradCheckReport:
     """Embedding -> LSTM end to end, with padded rows."""
     rng = np.random.default_rng(seed)
-    values = encoders.init_text_params("title", 6, _TINY, rng)
-    params = {n: Parameter(n, v) for n, v in values.items()}
+    params = _params(encoders.init_text_params("title", 6, _TINY, rng))
     ids = np.array([[3, 1, 5, 0], [2, 2, 0, 0]])
-    lengths = np.array([3, 2])
-    weights = rng.normal(size=(2, _TINY.fusion_dim))
 
-    def loss_fn():
-        h, cache = encoders.encode_text_forward("title", ids, lengths, params)
+    def run(weights):
+        h, cache = encoders.encode_text_forward("title", ids, np.array([3, 2]), params)
         encoders.encode_text_backward(weights, cache, params)
-        return float((h * weights).sum())
+        return h
 
-    return grad_check(loss_fn, params.values())
+    return _probe(params.values(), rng.normal(size=(2, _TINY.fusion_dim)), run)
 
 
 def check_thumbnail_encoder(seed: int = 107) -> GradCheckReport:
     """conv -> relu -> pool -> conv -> relu -> pool -> dense end to end."""
     rng = np.random.default_rng(seed)
-    values = encoders.init_thumbnail_params(_TINY, rng)
-    params = {n: Parameter(n, v) for n, v in values.items()}
+    params = _params(encoders.init_thumbnail_params(_TINY, rng))
     px = rng.uniform(0.0, 1.0, size=(2, 3, _TINY.thumb_size, _TINY.thumb_size))
-    weights = rng.normal(size=(2, _TINY.fusion_dim))
 
-    def loss_fn():
+    def run(weights):
         out, cache = encoders.encode_thumbnail_forward(px, params, _TINY)
         encoders.encode_thumbnail_backward(weights, cache, params)
-        return float((out * weights).sum())
+        return out
 
-    return grad_check(loss_fn, params.values())
+    return _probe(params.values(), rng.normal(size=(2, _TINY.fusion_dim)), run)
 
 
 def check_stats_encoder(seed: int = 108) -> GradCheckReport:
     rng = np.random.default_rng(seed)
-    values = encoders.init_stats_params(_TINY, rng)
-    params = {n: Parameter(n, v) for n, v in values.items()}
+    params = _params(encoders.init_stats_params(_TINY, rng))
     z = rng.normal(size=(3, 5))
-    weights = rng.normal(size=(3, _TINY.fusion_dim))
 
-    def loss_fn():
+    def run(weights):
         out, cache = encoders.encode_stats_forward(z, params)
         encoders.encode_stats_backward(weights, cache, params)
-        return float((out * weights).sum())
+        return out
 
-    return grad_check(loss_fn, params.values())
+    return _probe(params.values(), rng.normal(size=(3, _TINY.fusion_dim)), run)
 
 
 def check_whole_model(seed: int = 109) -> GradCheckReport:

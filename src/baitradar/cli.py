@@ -8,17 +8,18 @@ precedence for training runs: built-in defaults < --config JSON file < flags.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
-from dataclasses import fields, replace
+from dataclasses import fields
 from pathlib import Path
 
 from . import checks, corpus, metrics, textpipe, training
 from .checkpoint import load_checkpoint, save_checkpoint
 from .corpus import SignalStrengths, SyntheticConfig
-from .encoders import ConfigError, EncoderConfig
+from .encoders import EncoderConfig
 from .modalities import MODALITIES, ModalityMask, parse_modalities
-from .training import TrainConfig, TrainingError
+from .training import TrainConfig
 
 
 class _UsageError(Exception):
@@ -31,15 +32,39 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _modalities(text: str) -> tuple[str, ...]:
-    try:
-        return parse_modalities(text)
-    except ValueError as e:
-        raise argparse.ArgumentTypeError(str(e)) from None
+def _refusal_as(error):
+    """Decorate a one-argument parser or builder so that the ValueError it
+    raises for a refused value becomes ``error`` with the same message:
+    argparse.ArgumentTypeError for a flag's type, _UsageError for a config
+    or record built from flags. Commands build those before they touch any
+    file, so every refused flag value exits 1."""
+    def decorate(fn):
+        @functools.wraps(fn)
+        def checked(arg):
+            try:
+                return fn(arg)
+            except ValueError as e:  # includes every config's and record's error class
+                raise error(str(e)) from None
+        return checked
+    return decorate
 
 
+_arg_type = _refusal_as(argparse.ArgumentTypeError)
+_built_from_flags = _refusal_as(_UsageError)
+_modalities = _arg_type(parse_modalities)
+
+
+@_arg_type
 def _combos(text: str) -> list[tuple[str, ...]]:
-    return [_modalities(part) for part in text.split(";") if part.strip()]
+    return metrics.normalize_combinations(map(parse_modalities, text.split(";")))
+
+
+@_arg_type
+def _signal(text: str) -> tuple[str, float]:
+    name, eq, value = text.partition("=")
+    if name not in MODALITIES or not eq:
+        raise ValueError(f"expected MODALITY=VALUE with MODALITY in {MODALITIES}, got {text!r}")
+    return name, float(value)
 
 
 def _int_at_least(low: int):
@@ -67,7 +92,7 @@ def _build_parser() -> _Parser:
     g.add_argument("--out", required=True, help="output JSONL path")
     g.add_argument("--signals", type=float, default=None,
                    help="uniform signal strength for all modalities")
-    g.add_argument("--signal", action="append", default=[], metavar="MODALITY=V",
+    g.add_argument("--signal", type=_signal, action="append", default=[], metavar="MODALITY=V",
                    help="per-modality signal strength override (repeatable)")
     g.add_argument("--channels", type=int, default=12)
     g.add_argument("--topic-pool", type=int, default=120)
@@ -150,12 +175,6 @@ def _build_parser() -> _Parser:
 # config assembly
 # ---------------------------------------------------------------------------
 
-_FLAG_FIELDS = (
-    "regime", "batch_size", "max_epochs", "lr", "loss_threshold", "patience",
-    "modality_keep_prob", "vocab_max_size", "vocab_min_freq", "seed",
-)
-
-
 def _read_config(path) -> dict:
     """The --config file's fields: a JSON object of TrainConfig fields, with
     EncoderConfig fields under "encoder". The configs check the values."""
@@ -173,23 +192,27 @@ def _read_config(path) -> dict:
     return obj
 
 
+@_built_from_flags
 def make_train_config(args) -> TrainConfig:
-    merged: dict = {}
-    if getattr(args, "config", None):
-        merged.update(_read_config(args.config))
-    for name in _FLAG_FIELDS:
-        value = getattr(args, name, None)
-        if value is not None:
-            merged[name] = value
-    if getattr(args, "modalities", None):
-        merged["modalities"] = args.modalities
-    encoder = merged.pop("encoder", {})
-    if getattr(args, "fusion_dim", None) is not None:
-        encoder["fusion_dim"] = args.fusion_dim
-    try:
-        return TrainConfig(**merged, encoder=EncoderConfig(**encoder))
-    except (ConfigError, TrainingError) as e:
-        raise _UsageError(f"invalid configuration: {e}") from None
+    """Defaults, overridden by the --config file, overridden by the flags
+    that are set; each flag's dest is the name of the field it sets."""
+    values = _read_config(args.config) if getattr(args, "config", None) else {}
+    encoder = values.pop("encoder", {})
+    for part, cls in ((values, TrainConfig), (encoder, EncoderConfig)):
+        part.update((f.name, getattr(args, f.name)) for f in fields(cls)
+                    if getattr(args, f.name, None) is not None)
+    return TrainConfig(**values, encoder=EncoderConfig(**encoder))
+
+
+@_built_from_flags
+def _synthetic_config(args) -> SyntheticConfig:
+    strengths = {} if args.signals is None else dict.fromkeys(MODALITIES, args.signals)
+    strengths.update(args.signal)
+    return SyntheticConfig(
+        n_records=args.n, clickbait_ratio=args.ratio,
+        signal_strengths=SignalStrengths(**strengths), topic_pool_size=args.topic_pool,
+        n_channels=args.channels, seed=args.seed,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -197,20 +220,7 @@ def make_train_config(args) -> TrainConfig:
 # ---------------------------------------------------------------------------
 
 def cmd_gen_data(args) -> int:
-    sig = SignalStrengths() if args.signals is None else SignalStrengths.uniform(args.signals)
-    overrides = {}
-    for item in args.signal:
-        name, _, value = item.partition("=")
-        if name not in MODALITIES or not value:
-            raise corpus.CorpusError(f"bad --signal {item!r}; expected MODALITY=VALUE")
-        overrides[name] = float(value)
-    if overrides:
-        sig = replace(sig, **overrides)
-    config = SyntheticConfig(
-        n_records=args.n, clickbait_ratio=args.ratio, signal_strengths=sig,
-        topic_pool_size=args.topic_pool, n_channels=args.channels, seed=args.seed,
-    )
-    records = corpus.generate_synthetic(config)
+    records = corpus.generate_synthetic(_synthetic_config(args))
     corpus.write_corpus(records, args.out)
     n_cb = sum(1 for r in records if r.label == corpus.LABEL_CLICKBAIT)
     print(f"wrote {len(records)} records ({n_cb} clickbait) to {args.out} "
@@ -288,6 +298,7 @@ def cmd_sweep(args) -> int:
     return 0
 
 
+@_built_from_flags
 def _record_from_flags(args) -> corpus.VideoRecord:
     stats = None
     if args.views is not None:
@@ -304,17 +315,16 @@ def _record_from_flags(args) -> corpus.VideoRecord:
         transcript=args.transcript,
         stats=stats,
         thumbnail_path=args.thumbnail,
-    ).validate()
+    )
 
 
 def cmd_predict(args) -> int:
+    record = None if args.input else _record_from_flags(args)
     model = load_checkpoint(args.model)
     if args.input:
-        records = corpus.load_jsonl(args.input)
-        base_dir = Path(args.input).parent
+        records, base_dir = corpus.load_jsonl(args.input), Path(args.input).parent
     else:
-        records = [_record_from_flags(args)]
-        base_dir = Path.cwd()
+        records, base_dir = [record], Path.cwd()
     subset = ModalityMask.from_names(args.modalities) if args.modalities else None
     for pred in model.predict_many(records, subset, base_dir):
         print(json.dumps(pred.to_json_obj()))

@@ -103,14 +103,13 @@ class VideoRecord:
             statistics=self.stats is not None,
         )
 
-    def validate(self) -> "VideoRecord":
+    def __post_init__(self):
         if not self.id:
             raise CorpusError("record id must be nonempty")
         if self.label is not None and self.label not in LABELS:
             raise CorpusError(f"record {self.id!r}: unknown label {self.label!r}")
         if self.present_mask().count() == 0:
             raise CorpusError(f"record {self.id!r} has no present modalities")
-        return self
 
 
 # ---------------------------------------------------------------------------
@@ -152,7 +151,7 @@ def _record_from_obj(obj: dict) -> VideoRecord:
         stats=stats,
         thumbnail_path=obj.get("thumbnail"),
         label=obj.get("label"),
-    ).validate()
+    )
 
 
 def load_jsonl(path) -> list[VideoRecord]:
@@ -397,12 +396,11 @@ class SignalStrengths:
     def uniform(cls, value: float) -> "SignalStrengths":
         return cls(**{m: value for m in MODALITIES})
 
-    def validate(self) -> "SignalStrengths":
+    def __post_init__(self):
         for m in MODALITIES:
             v = getattr(self, m)
             if not 0.0 <= v <= 1.0:
                 raise CorpusError(f"signal strength for {m} must be in [0,1], got {v}")
-        return self
 
 
 @dataclass(frozen=True)
@@ -414,7 +412,7 @@ class SyntheticConfig:
     n_channels: int = 12
     seed: int = 0
 
-    def validate(self) -> "SyntheticConfig":
+    def __post_init__(self):
         if self.n_records < 1:
             raise CorpusError(f"n_records must be >= 1, got {self.n_records}")
         if not 0.0 <= self.clickbait_ratio <= 1.0:
@@ -423,8 +421,6 @@ class SyntheticConfig:
             raise CorpusError("topic_pool_size must be >= 20")
         if self.n_channels < 1:
             raise CorpusError("n_channels must be >= 1")
-        self.signal_strengths.validate()
-        return self
 
 
 def _pick(rng, pool, k):
@@ -492,7 +488,6 @@ def generate_synthetic(config: SyntheticConfig) -> list[VideoRecord]:
     moderate tags and stats). Thumbnails are attached in memory; write them
     out with :func:`write_corpus`.
     """
-    config.validate()
     rng = np.random.default_rng(config.seed)
     sig = config.signal_strengths
     topics = [f"word{i:03d}" for i in range(config.topic_pool_size)]
@@ -571,7 +566,7 @@ def generate_synthetic(config: SyntheticConfig) -> list[VideoRecord]:
                 thumbnail_path=f"thumbs/{rid}.ppm",
                 label=LABEL_CLICKBAIT if cb else LABEL_NON_CLICKBAIT,
                 thumbnail_image=_synthetic_thumbnail(rng, cb, active["thumbnail"]),
-            ).validate()
+            )
         )
     return records
 

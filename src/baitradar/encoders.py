@@ -66,9 +66,6 @@ class EncoderConfig:
     head_hidden: int = 32
 
     def __post_init__(self):
-        self.validate()
-
-    def validate(self) -> None:
         _check_fields(self, ConfigError, [f.name for f in fields(self)], "encoder ")
         # the side only shrinks, so a final side of at least 1 means that
         # every conv output held a pooling window

@@ -59,6 +59,8 @@ class ModalityMask:
 
 
 def parse_modalities(text: str) -> tuple[str, ...]:
-    """Parse a comma- or plus-separated list of modality names."""
+    """Parse a nonempty comma- or plus-separated list of modality names."""
     parts = [p.strip() for p in text.replace("+", ",").split(",") if p.strip()]
+    if not parts:
+        raise ValueError(f"no modality named in {text!r}; expected some of {MODALITIES}")
     return ModalityMask.from_names(parts).names()

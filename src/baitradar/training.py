@@ -50,9 +50,6 @@ class TrainConfig:
     encoder: EncoderConfig = field(default_factory=EncoderConfig)
 
     def __post_init__(self):
-        self.validate()
-
-    def validate(self) -> None:
         _check_fields(self, TrainingError, ("batch_size", "max_epochs", "patience"))
         if self.regime not in REGIMES:
             raise TrainingError(f"unknown regime {self.regime!r}, expected one of {REGIMES}")

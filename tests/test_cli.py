@@ -59,11 +59,6 @@ def test_gen_data_signal_overrides(tmp_path, capsys):
     assert "15 records" in capsys.readouterr().out
 
 
-def test_gen_data_bad_signal_exits_2(tmp_path):
-    assert run(["gen-data", "--n", "15", "--seed", "1", "--signal", "bogus=1.0",
-                "--out", str(tmp_path / "c.jsonl")]) == 2
-
-
 def test_build_vocab(workdir, capsys):
     out = workdir / "vocab.txt"
     code = run(["build-vocab", "--in", str(workdir / "corpus.jsonl"), "--seed", "7",
@@ -240,6 +235,18 @@ def test_invalid_training_flag_exits_1_with_one_line(workdir, tmp_path, capsys, 
     (["build-vocab", "--out", "v.txt", "--max-size", "1"], "--max-size: must be >= 2"),
     (["train", "--out", "m", "--vocab-max-size", "1"], "--vocab-max-size: must be >= 2"),
     (["build-vocab", "--out", "v.txt", "--max-size", "ten"], "invalid int value: 'ten'"),
+    (["gen-data", "--n", "0", "--out", "c.jsonl"], "n_records must be >= 1, got 0"),
+    (["gen-data", "--n", "5", "--out", "c.jsonl", "--channels", "0"], "n_channels must be >= 1"),
+    (["gen-data", "--n", "5", "--out", "c.jsonl", "--ratio", "2"], "clickbait_ratio must be in"),
+    (["gen-data", "--n", "5", "--out", "c.jsonl", "--topic-pool", "5"], "topic_pool_size"),
+    (["gen-data", "--n", "5", "--out", "c.jsonl", "--signals", "3"], "signal strength for title"),
+    (["gen-data", "--n", "5", "--out", "c.jsonl", "--signal", "title=abc"], "--signal"),
+    (["gen-data", "--n", "5", "--out", "c.jsonl", "--signal", "bogus=1.0"], "--signal"),
+    (["sweep", "--out-dir", "d", "--seed", "1", "--combos", "tags"], "does not contain title"),
+    (["train", "--out", "m", "--modalities", ""], "--modalities: no modality named"),
+    (["sweep", "--out-dir", "d", "--seed", "1", "--modalities", ""], "no modality named"),
+    (["eval", "--model", "MISSING", "--modalities", ""], "--modalities: no modality named"),
+    (["predict", "--model", "MISSING", "--modalities", ""], "--modalities: no modality named"),
 ])
 def test_bad_flag_value_exits_1_with_one_line_before_reading_data(tmp_path, capsys, monkeypatch,
                                                                    argv, named):
@@ -252,6 +259,16 @@ def test_bad_flag_value_exits_1_with_one_line_before_reading_data(tmp_path, caps
     err = capsys.readouterr().err
     assert code == 1
     assert err.count("\n") == 1 and named in err and "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_predict_bad_record_flag_exits_1_before_loading_the_model(tmp_path, capsys, monkeypatch):
+    """The model does not exist: loading it first would exit 2."""
+    monkeypatch.chdir(tmp_path)
+    code = run(["predict", "--model", "MISSING", "--title", "t", "--views", "-5"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.count("\n") == 1 and "stats 'views' must be" in err and "Traceback" not in err
     assert list(tmp_path.iterdir()) == []
 
 

@@ -79,6 +79,14 @@ def test_load_jsonl_zero_modalities_rejected(tmp_path):
         load_jsonl(p)
 
 
+def test_record_checks_itself_when_replaced():
+    rec = make_record(1, tags=["a"])
+    with pytest.raises(CorpusError, match="no present modalities"):
+        dataclasses.replace(rec, title=None, tags=None)
+    with pytest.raises(CorpusError, match="unknown label"):
+        dataclasses.replace(rec, label="spam")
+
+
 def test_load_jsonl_single_modality_accepted(tmp_path):
     p = tmp_path / "c.jsonl"
     p.write_text('{"id": "a", "channel_id": "x", "title": "only title"}\n')
@@ -395,6 +403,15 @@ def test_generate_validates_config():
         generate_synthetic(
             SyntheticConfig(n_records=5, signal_strengths=SignalStrengths(title=2.0))
         )
+
+
+def test_synthetic_configs_check_themselves_when_built():
+    with pytest.raises(CorpusError, match="n_records must be >= 1"):
+        SyntheticConfig(n_records=0)
+    with pytest.raises(CorpusError, match="signal strength for tags"):
+        SignalStrengths(tags=1.5)
+    with pytest.raises(CorpusError, match="signal strength for title"):
+        SignalStrengths.uniform(-0.1)
 
 
 def test_generated_thumbnails_are_valid_64x64(tmp_path):

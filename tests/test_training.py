@@ -179,19 +179,19 @@ def test_dropout_training_runs_and_is_deterministic(tiny_records, tiny_split, ti
 
 def test_config_validation():
     with pytest.raises(TrainingError):
-        TrainConfig(batch_size=0).validate()
+        TrainConfig(batch_size=0)
     with pytest.raises(TrainingError):
-        TrainConfig(loss_threshold=0.0).validate()
+        TrainConfig(loss_threshold=0.0)
     with pytest.raises(TrainingError):
-        TrainConfig(patience=0).validate()
+        TrainConfig(patience=0)
     with pytest.raises(TrainingError):
-        TrainConfig(regime="magic").validate()
+        TrainConfig(regime="magic")
     with pytest.raises(TrainingError):
-        TrainConfig(regime="individual").validate()  # six modalities
+        TrainConfig(regime="individual")  # six modalities
     with pytest.raises(TrainingError):
-        TrainConfig(modalities=("title", "audio")).validate()
+        TrainConfig(modalities=("title", "audio"))
     with pytest.raises(TrainingError):
-        TrainConfig(modality_keep_prob=0.0).validate()
+        TrainConfig(modality_keep_prob=0.0)
     with pytest.raises(TrainingError, match="must be int"):
         TrainConfig(patience=True)  # a bool is not a number
     with pytest.raises(TrainingError, match="batch_size"):
