@@ -28,8 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from .encoders import EncoderConfig, StatsNormalizer
-from .model import BaitRadarModel
-from .nncore import Parameter
+from .model import BaitRadarModel, ModelError
 from .textpipe import Vocabulary
 
 MAGIC = b"BRDR"
@@ -173,13 +172,10 @@ def loads(data: bytes) -> BaitRadarModel:
     extra = sorted(set(tensors) - expected)
     if extra:
         raise CheckpointError(f"checkpoint contains unexpected tensors: {extra}")
-    for name, value in tensors.items():
-        if model.params[name].value.shape != value.shape:
-            raise CheckpointError(
-                f"tensor {name} has shape {value.shape}, expected "
-                f"{model.params[name].value.shape}"
-            )
-        model.params[name] = Parameter(name, value)
+    try:
+        model.load_param_values(tensors)
+    except ModelError as e:
+        raise CheckpointError(str(e)) from None
     model.config_echo = meta.get("config_echo")
     return model
 

@@ -155,15 +155,15 @@ def _build_parser() -> _Parser:
     pr.add_argument("--id", default="record0")
     pr.add_argument("--channel-id", default="")
     pr.add_argument("--title")
-    pr.add_argument("--tags", help="comma-separated")
-    pr.add_argument("--comment", action="append", default=[], help="repeatable")
+    pr.add_argument("--tags", type=lambda text: text.split(",") if text else None,
+                    help="comma-separated")
+    pr.add_argument("--comment", dest="comments", action="append", metavar="COMMENT",
+                    help="repeatable")
     pr.add_argument("--transcript")
     pr.add_argument("--thumbnail", help="path to a binary PPM")
-    pr.add_argument("--views", type=int)
-    pr.add_argument("--likes", type=int, default=0)
-    pr.add_argument("--dislikes", type=int, default=0)
-    pr.add_argument("--comment-count", type=int, default=0)
-    pr.add_argument("--duration-s", type=int, default=0)
+    # statistics are present when any count is given; counts not given are 0
+    for name in corpus.STATS_FIELDS:
+        pr.add_argument(f"--{name.replace('_', '-')}", type=int)
 
     gc = sub.add_parser("grad-check", help="finite-difference check of every layer")
     gc.add_argument("--tol", type=float, default=checks.DEFAULT_TOLERANCE)
@@ -300,22 +300,13 @@ def cmd_sweep(args) -> int:
 
 @_built_from_flags
 def _record_from_flags(args) -> corpus.VideoRecord:
+    """The record the predict flags describe; each flag's dest is the JSON key
+    it sets."""
+    counts = {k: getattr(args, k) for k in corpus.STATS_FIELDS}
     stats = None
-    if args.views is not None:
-        stats = corpus.StatsFeatures(
-            views=args.views, likes=args.likes, dislikes=args.dislikes,
-            comment_count=args.comment_count, duration_s=args.duration_s,
-        )
-    return corpus.VideoRecord(
-        id=args.id,
-        channel_id=args.channel_id,
-        title=args.title,
-        tags=args.tags.split(",") if args.tags else None,
-        comments=args.comment or None,
-        transcript=args.transcript,
-        stats=stats,
-        thumbnail_path=args.thumbnail,
-    )
+    if any(v is not None for v in counts.values()):
+        stats = {k: 0 if v is None else v for k, v in counts.items()}
+    return corpus.record_from_obj({**vars(args), "stats": stats})
 
 
 def cmd_predict(args) -> int:

@@ -9,9 +9,12 @@ and a config always maps to the same synthetic corpus, byte for byte.
 
 from __future__ import annotations
 
+import functools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
+from types import UnionType
+from typing import Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -35,6 +38,41 @@ class PpmError(ValueError):
     """Unreadable or unsupported PPM image."""
 
 
+def _fits(value, hint) -> bool:
+    """Whether ``value`` can stand for a field annotated ``hint``: a list
+    stands for a tuple, an int for a float, and a bool is not a number."""
+    origin, args = get_origin(hint), get_args(hint)
+    if origin in (Union, UnionType):
+        return any(_fits(value, a) for a in args)
+    if origin is tuple:
+        if args[-1] is Ellipsis and isinstance(value, (list, tuple)):
+            args = args[:1] * len(value)
+        return (isinstance(value, (list, tuple)) and len(value) == len(args)
+                and all(map(_fits, value, args)))
+    return isinstance(value, (int, float) if hint is float else hint) and not isinstance(value, bool)
+
+
+@functools.cache  # a StatsFeatures is built per record; get_type_hints is slow
+def _field_hints(cls) -> tuple:
+    hints = get_type_hints(cls)
+    return tuple((f.name, hints[f.name], f.type) for f in fields(cls))
+
+
+def check_fields(config, error: type[Exception], sizes=(), where: str = "") -> None:
+    """Raise ``error`` unless each field of the frozen dataclass ``config`` has
+    its annotated type (a list in a tuple field is stored as a tuple) and each
+    one named in ``sizes`` is at least 1."""
+    for name, hint, annotation in _field_hints(type(config)):
+        value = getattr(config, name)
+        if not _fits(value, hint):
+            raise error(f"{where}field {name!r} must be {annotation}, got {value!r:.40}")
+        if isinstance(value, list):
+            value = tuple(value)
+            object.__setattr__(config, name, value)
+        if name in sizes and min(value if isinstance(value, tuple) else (value,)) < 1:
+            raise error(f"{where}field {name!r} must be >= 1, got {value}")
+
+
 @dataclass(frozen=True)
 class StatsFeatures:
     views: int
@@ -44,9 +82,10 @@ class StatsFeatures:
     duration_s: int
 
     def __post_init__(self):
+        check_fields(self, CorpusError, where="stats ")
         for name in STATS_FIELDS:
             v = getattr(self, name)
-            if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < 2**63:
+            if not 0 <= v < 2**63:
                 raise CorpusError(f"stats {name!r} must be an int in [0, 2**63), got {v!r:.40}")
 
     def as_array(self) -> np.ndarray:
@@ -116,23 +155,28 @@ class VideoRecord:
 # JSONL ingestion / emission
 # ---------------------------------------------------------------------------
 
-# JSON type of each known field (the lists hold strings); null means absent
-_FIELD_TYPES = {"id": str, "channel_id": str, "title": str, "tags": list, "comments": list,
-                "transcript": str, "stats": dict, "thumbnail": str, "label": str}
+# JSON key -> (VideoRecord attribute, JSON type), in the order records are
+# written; null or omitted means absent, and the lists hold strings
+_JSON_FIELDS = {
+    "id": ("id", str), "channel_id": ("channel_id", str), "title": ("title", str),
+    "tags": ("tags", list), "comments": ("comments", list), "transcript": ("transcript", str),
+    "stats": ("stats", dict), "thumbnail": ("thumbnail_path", str), "label": ("label", str),
+}
 
 
-def _record_from_obj(obj: dict) -> VideoRecord:
+def record_from_obj(obj) -> VideoRecord:
+    """The record one parsed JSON line describes; keys not in the schema are
+    ignored. Every refusal raises :class:`CorpusError`."""
     if not isinstance(obj, dict):
         raise CorpusError("record is not a JSON object")
-    if "id" not in obj or obj["id"] in (None, ""):
-        raise CorpusError('missing "id"')
-    for key, kind in _FIELD_TYPES.items():
-        value = obj.get(key)
+    values = {}
+    for key, (attr, kind) in _JSON_FIELDS.items():
+        value = values[attr] = obj.get(key)
         if value is not None and not (isinstance(value, kind) and (
                 kind is not list or all(isinstance(v, str) for v in value))):
             what = {str: "a string", list: "a list of strings", dict: "an object"}[kind]
             raise CorpusError(f"field {key!r} must be {what}, got {json.dumps(value)[:40]}")
-    stats = obj.get("stats")
+    stats = values["stats"]
     if stats is not None:
         unknown = set(stats) - set(STATS_FIELDS)
         if unknown:
@@ -140,18 +184,9 @@ def _record_from_obj(obj: dict) -> VideoRecord:
         missing = [k for k in STATS_FIELDS if k not in stats]
         if missing:
             raise CorpusError(f"stats object missing fields {missing}")
-        stats = StatsFeatures(**{k: stats[k] for k in STATS_FIELDS})
-    return VideoRecord(
-        id=obj["id"],
-        channel_id=obj.get("channel_id") or "",
-        title=obj.get("title"),
-        tags=obj.get("tags"),
-        comments=obj.get("comments"),
-        transcript=obj.get("transcript"),
-        stats=stats,
-        thumbnail_path=obj.get("thumbnail"),
-        label=obj.get("label"),
-    )
+        values["stats"] = StatsFeatures(**stats)
+    values["channel_id"] = values["channel_id"] or ""
+    return VideoRecord(**values)
 
 
 def load_jsonl(path) -> list[VideoRecord]:
@@ -172,7 +207,7 @@ def load_jsonl(path) -> list[VideoRecord]:
             except (ValueError, RecursionError) as e:  # bad UTF-8, bad or too deep JSON
                 raise CorpusError(f"{path}: line {lineno}: invalid JSON ({e})") from None
             try:
-                rec = _record_from_obj(obj)
+                rec = record_from_obj(obj)
             except CorpusError as e:
                 raise CorpusError(f"{path}: line {lineno}: {e}") from e
             if rec.id in seen:
@@ -183,17 +218,10 @@ def load_jsonl(path) -> list[VideoRecord]:
 
 
 def record_to_obj(rec: VideoRecord) -> dict:
-    return {
-        "id": rec.id,
-        "channel_id": rec.channel_id,
-        "title": rec.title,
-        "tags": rec.tags,
-        "comments": rec.comments,
-        "transcript": rec.transcript,
-        "stats": None if rec.stats is None else {k: getattr(rec.stats, k) for k in STATS_FIELDS},
-        "thumbnail": rec.thumbnail_path,
-        "label": rec.label,
-    }
+    obj = {key: getattr(rec, attr) for key, (attr, _) in _JSON_FIELDS.items()}
+    if rec.stats is not None:
+        obj["stats"] = {k: getattr(rec.stats, k) for k in STATS_FIELDS}
+    return obj
 
 
 def write_corpus(records, jsonl_path) -> None:
@@ -397,6 +425,7 @@ class SignalStrengths:
         return cls(**{m: value for m in MODALITIES})
 
     def __post_init__(self):
+        check_fields(self, CorpusError, where="signal strength ")
         for m in MODALITIES:
             v = getattr(self, m)
             if not 0.0 <= v <= 1.0:
@@ -413,6 +442,7 @@ class SyntheticConfig:
     seed: int = 0
 
     def __post_init__(self):
+        check_fields(self, CorpusError)
         if self.n_records < 1:
             raise CorpusError(f"n_records must be >= 1, got {self.n_records}")
         if not 0.0 <= self.clickbait_ratio <= 1.0:

@@ -11,8 +11,8 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from . import nncore, textpipe
-from .corpus import DatasetSplit, select_records
-from .encoders import EncoderConfig, StatsNormalizer, _check_fields
+from .corpus import DatasetSplit, check_fields, select_records
+from .encoders import EncoderConfig, StatsNormalizer
 from .fusion import PROBABILITY_THRESHOLD
 from .model import BaitRadarModel, Features, featurize_record
 from .modalities import MODALITIES, ModalityMask
@@ -50,7 +50,7 @@ class TrainConfig:
     encoder: EncoderConfig = field(default_factory=EncoderConfig)
 
     def __post_init__(self):
-        _check_fields(self, TrainingError, ("batch_size", "max_epochs", "patience"))
+        check_fields(self, TrainingError, ("batch_size", "max_epochs", "patience"))
         if self.regime not in REGIMES:
             raise TrainingError(f"unknown regime {self.regime!r}, expected one of {REGIMES}")
         if not self.loss_threshold > 0:

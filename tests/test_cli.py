@@ -126,6 +126,13 @@ def test_predict_single_record_flags(trained, capsys):
     assert set(obj["modalities_used"]) == {"title", "tags", "statistics"}
 
 
+def test_predict_any_count_flag_makes_statistics_present(trained, capsys):
+    code = run(["predict", "--model", str(trained), "--title", "t", "--likes", "5"])
+    assert code == 0
+    obj = json.loads(capsys.readouterr().out.strip())
+    assert set(obj["modalities_used"]) == {"title", "statistics"}
+
+
 def test_predict_modalities_flag_restricts(trained, workdir, capsys):
     code = run(["predict", "--model", str(trained), "--in", str(workdir / "corpus.jsonl"),
                 "--modalities", "title"])
@@ -265,10 +272,13 @@ def test_bad_flag_value_exits_1_with_one_line_before_reading_data(tmp_path, caps
 def test_predict_bad_record_flag_exits_1_before_loading_the_model(tmp_path, capsys, monkeypatch):
     """The model does not exist: loading it first would exit 2."""
     monkeypatch.chdir(tmp_path)
-    code = run(["predict", "--model", "MISSING", "--title", "t", "--views", "-5"])
-    err = capsys.readouterr().err
-    assert code == 1
-    assert err.count("\n") == 1 and "stats 'views' must be" in err and "Traceback" not in err
+    # a count flag without --views still makes the stats object, so it is checked
+    for flag in ("--views", "--likes"):
+        code = run(["predict", "--model", "MISSING", "--title", "t", flag, "-5"])
+        err = capsys.readouterr().err
+        assert code == 1
+        named = f"stats {flag[2:]!r} must be"
+        assert err.count("\n") == 1 and named in err and "Traceback" not in err
     assert list(tmp_path.iterdir()) == []
 
 

@@ -18,12 +18,13 @@ from baitradar.corpus import (
     generate_synthetic,
     load_jsonl,
     load_ppm,
+    record_from_obj,
+    record_to_obj,
     save_ppm,
     select_records,
     split_dataset,
     split_sizes,
     write_corpus,
-    _record_from_obj,
 )
 
 
@@ -157,9 +158,23 @@ _JSON_VALUES = st.recursive(
 @given(obj=st.dictionaries(_RECORD_KEYS, _JSON_VALUES, max_size=10) | _JSON_VALUES)
 def test_record_from_obj_raises_only_corpus_error(obj):
     try:
-        _record_from_obj(obj)
+        record_from_obj(obj)
     except CorpusError:
         pass
+
+
+def test_record_to_obj_key_order_and_round_trip():
+    stats = StatsFeatures(views=9, likes=1, dislikes=0, comment_count=2, duration_s=30)
+    rec = make_record(1, tags=["a", "b"], comments=["c"], transcript="t", stats=stats,
+                      thumbnail_path="thumbs/x.ppm")
+    obj = record_to_obj(rec)
+    assert list(obj) == ["id", "channel_id", "title", "tags", "comments", "transcript",
+                         "stats", "thumbnail", "label"]
+    assert list(obj["stats"]) == list(STATS_FIELDS)
+    assert record_from_obj(obj) == rec
+    assert record_from_obj(json.loads(json.dumps(obj))) == rec
+    bare = make_record(2)
+    assert record_from_obj(record_to_obj(bare)) == bare
 
 
 def test_load_jsonl_rejects_stats_beyond_float_range(tmp_path):
@@ -412,6 +427,13 @@ def test_synthetic_configs_check_themselves_when_built():
         SignalStrengths(tags=1.5)
     with pytest.raises(CorpusError, match="signal strength for title"):
         SignalStrengths.uniform(-0.1)
+    # types are checked too, before the generator's numpy calls see them
+    with pytest.raises(CorpusError, match="'n_records' must be int"):
+        generate_synthetic(SyntheticConfig(n_records=2.5))
+    with pytest.raises(CorpusError, match="'n_records' must be int"):
+        SyntheticConfig(n_records="5")
+    with pytest.raises(CorpusError, match="signal strength field 'title' must be float"):
+        SignalStrengths(title="x")
 
 
 def test_generated_thumbnails_are_valid_64x64(tmp_path):
