@@ -106,17 +106,16 @@ def check_fusion_head(seed: int = 105, arch: str = "mlp") -> GradCheckReport:
     vecs = {m: _param(rng, m, (2, dim)) for m in mask.names()}
     head = _params(fusion.init_head_params(dim, 4, arch, rng))
     labels = np.array([1.0, 0.0])
-    present = {m: np.array([True, True]) for m in mask.names()}
+    rows = {m: np.arange(2) for m in mask.names()}
 
     def loss_fn():
-        outputs = {m: vecs[m].value for m in vecs}
-        fused, n = fusion.fuse_batch(outputs, present)
+        fused, n = fusion.fuse_batch({m: (rows[m], vecs[m].value) for m in vecs}, 2, dim)
         probs, cache = fusion.head_forward(fused, head, arch)
         loss = nncore.binary_cross_entropy(probs, labels)
         d_fused = fusion.head_backward(
             nncore.binary_cross_entropy_grad(probs, labels), cache, head
         )
-        d_per = fusion.fuse_batch_backward(d_fused, present, n)
+        d_per = fusion.fuse_batch_backward(d_fused, rows, n)
         for m in vecs:
             vecs[m].grad += d_per[m]
         return loss

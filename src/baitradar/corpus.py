@@ -101,6 +101,8 @@ class ThumbnailImage:
     data: bytes
 
     def __post_init__(self):
+        if self.width <= 0 or self.height <= 0:
+            raise PpmError(f"image size {self.width}x{self.height} must be positive")
         if len(self.data) != self.width * self.height * 3:
             raise PpmError(
                 f"pixel payload is {len(self.data)} bytes, expected "
@@ -272,14 +274,15 @@ def load_ppm(path) -> ThumbnailImage:
     width, height, maxval = fields
     if maxval != 255:
         raise PpmError(f"{path}: maxval {maxval} unsupported, expected 255")
-    if width <= 0 or height <= 0:
-        raise PpmError(f"{path}: image size {width}x{height} must be positive")
     pos += 1  # single whitespace byte after maxval
     expected = width * height * 3
     data = raw[pos : pos + expected]
     if len(data) < expected:
         raise PpmError(f"{path}: truncated pixel payload ({len(data)} of {expected} bytes)")
-    return ThumbnailImage(width=width, height=height, data=bytes(data))
+    try:
+        return ThumbnailImage(width=width, height=height, data=bytes(data))
+    except PpmError as e:
+        raise PpmError(f"{path}: {e}") from None
 
 
 def save_ppm(img: ThumbnailImage, path) -> None:

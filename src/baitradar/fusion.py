@@ -14,13 +14,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nncore
+from .corpus import LABEL_CLICKBAIT, LABEL_NON_CLICKBAIT
 from .modalities import ModalityMask
 
 PROBABILITY_THRESHOLD = 0.5
 
 
 class FusionError(ValueError):
-    """No encoder outputs, or a row with no present modalities."""
+    """A row with no present modalities."""
 
 
 @dataclass(frozen=True)
@@ -41,30 +42,26 @@ class Prediction:
 
 def decide_label(probability: float) -> str:
     # ties at exactly 0.5 flag the warning case
-    return "clickbait" if probability >= PROBABILITY_THRESHOLD else "non_clickbait"
+    return LABEL_CLICKBAIT if probability >= PROBABILITY_THRESHOLD else LABEL_NON_CLICKBAIT
 
 
-def fuse_batch(outputs: dict[str, np.ndarray], present: dict[str, np.ndarray]):
-    """Batched fusion: outputs[m] is [B,d], present[m] is a boolean [B] row
-    mask. Returns (fused [B,d], n_present [B])."""
-    names = [m for m in outputs]
-    if not names:
-        raise FusionError("no encoder outputs supplied")
-    first = outputs[names[0]]
-    total = np.zeros_like(first)
-    n = np.zeros(first.shape[0])
-    for m in names:
-        keep = present[m].astype(np.float64)
-        total += outputs[m] * keep[:, None]
-        n += keep
+def fuse_batch(encoded: dict[str, tuple[np.ndarray, np.ndarray]], n_rows: int, dim: int):
+    """Batched fusion: encoded[m] is (rows, out) with out [len(rows), dim] the
+    encoder output for those batch rows. Returns (fused [n_rows,dim],
+    n_present [n_rows])."""
+    total = np.zeros((n_rows, dim))
+    n = np.zeros(n_rows)
+    for rows, out in encoded.values():
+        total[rows] += out
+        n[rows] += 1.0
     if (n == 0).any():
         raise FusionError("some rows have no present modalities")
     return total / n[:, None], n
 
 
-def fuse_batch_backward(d_fused, present: dict[str, np.ndarray], n: np.ndarray):
-    """Per-modality upstream grads: grad rows scaled by present/n."""
-    return {m: d_fused * (present[m] / n)[:, None] for m in present}
+def fuse_batch_backward(d_fused, rows: dict[str, np.ndarray], n: np.ndarray):
+    """Per-modality upstream grads for rows[m]: those grad rows scaled by 1/n."""
+    return {m: d_fused[r] * (1.0 / n[r])[:, None] for m, r in rows.items()}
 
 
 # ---------------------------------------------------------------------------

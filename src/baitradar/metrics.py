@@ -5,11 +5,12 @@ from __future__ import annotations
 
 import json
 import time
+from collections import Counter
 from dataclasses import dataclass, replace as dc_replace
 from pathlib import Path
 
 from . import checkpoint
-from .corpus import LABEL_CLICKBAIT, DatasetSplit, select_records
+from .corpus import LABEL_CLICKBAIT, LABEL_NON_CLICKBAIT, DatasetSplit, select_records
 from .fusion import Prediction
 from .modalities import MODALITIES, ModalityMask
 from .model import BaitRadarModel
@@ -66,25 +67,17 @@ def evaluate(model: BaitRadarModel, records, subset: ModalityMask | None = None,
             raise MetricsError(f"record {r.id!r} has no label")
     model.predict(records[0], subset=subset, base_dir=base_dir)  # warm-up
 
-    tp = tn = fp = fn = 0
     latencies = []
     predictions: list[Prediction] = []
     for rec in records:
         t0 = time.perf_counter()
-        pred = model.predict(rec, subset=subset, base_dir=base_dir)
+        predictions.append(model.predict(rec, subset=subset, base_dir=base_dir))
         latencies.append(time.perf_counter() - t0)
-        predictions.append(pred)
-        actual_pos = rec.label == LABEL_CLICKBAIT
-        predicted_pos = pred.label == LABEL_CLICKBAIT
-        if predicted_pos and actual_pos:
-            tp += 1
-        elif predicted_pos:
-            fp += 1
-        elif actual_pos:
-            fn += 1
-        else:
-            tn += 1
-    cm = ConfusionMatrix(tp=tp, tn=tn, fp=fp, fn=fn)
+    # (actual, predicted) label pairs
+    pairs = Counter((rec.label, pred.label) for rec, pred in zip(records, predictions))
+    pos, neg = LABEL_CLICKBAIT, LABEL_NON_CLICKBAIT
+    cm = ConfusionMatrix(tp=pairs[pos, pos], tn=pairs[neg, neg],
+                         fp=pairs[neg, pos], fn=pairs[pos, neg])
     acc = accuracy(cm)
     recount = sum(
         1 for rec, pred in zip(records, predictions) if rec.label == pred.label

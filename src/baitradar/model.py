@@ -29,8 +29,11 @@ class Features:
 
     id: str
     label: float | None
-    present: ModalityMask
     inputs: dict[str, object]  # modality -> its encoder kind's payload
+
+    @property
+    def present(self) -> ModalityMask:
+        return ModalityMask.from_names(self.inputs)
 
 
 def featurize_record(record: VideoRecord, vocab: Vocabulary, stats_norm: StatsNormalizer,
@@ -45,7 +48,7 @@ def featurize_record(record: VideoRecord, vocab: Vocabulary, stats_norm: StatsNo
     label = None
     if record.label is not None:
         label = 1.0 if record.label == LABEL_CLICKBAIT else 0.0
-    return Features(id=record.id, label=label, present=usable, inputs=inputs)
+    return Features(id=record.id, label=label, inputs=inputs)
 
 
 class BaitRadarModel:
@@ -126,34 +129,24 @@ class BaitRadarModel:
     def forward_features(self, feats: list[Features], masks: list[ModalityMask]):
         """Probabilities for a batch. ``masks`` gives the effective modality
         mask per row (already intersected with availability)."""
-        n_rows = len(feats)
-        d = self.config.fusion_dim
-        outputs: dict[str, np.ndarray] = {}
-        present: dict[str, np.ndarray] = {}
+        encoded: dict[str, tuple[np.ndarray, np.ndarray]] = {}
         enc_caches: dict[str, tuple] = {}
         for m in self.modalities:
-            keep = np.array([getattr(mask, m) for mask in masks], dtype=bool)
-            present[m] = keep
-            rows = np.flatnonzero(keep)
-            out = np.zeros((n_rows, d))
-            cache = None
+            rows = np.flatnonzero([getattr(mask, m) for mask in masks])
             if rows.size:
-                payloads = [feats[i].inputs[m] for i in rows]
-                out[rows], cache = ENCODERS[m].forward(m, payloads, self.params, self.config)
-            outputs[m] = out
-            enc_caches[m] = (rows, cache)
-        fused, n_present = fusion.fuse_batch(outputs, present)
+                out, enc_caches[m] = ENCODERS[m].forward(
+                    m, [feats[i].inputs[m] for i in rows], self.params, self.config)
+                encoded[m] = (rows, out)
+        fused, n_present = fusion.fuse_batch(encoded, len(feats), self.config.fusion_dim)
         probs, head_cache = fusion.head_forward(fused, self.params, self.head_arch, self.head_prefix)
-        return probs, (enc_caches, present, n_present, head_cache)
+        rows = {m: r for m, (r, _) in encoded.items()}
+        return probs, (rows, enc_caches, n_present, head_cache)
 
     def backward(self, d_probs, cache) -> None:
-        enc_caches, present, n_present, head_cache = cache
+        rows, enc_caches, n_present, head_cache = cache
         d_fused = fusion.head_backward(d_probs, head_cache, self.params)
-        d_per = fusion.fuse_batch_backward(d_fused, present, n_present)
-        for m in self.modalities:
-            rows, enc_cache = enc_caches[m]
-            if rows.size:
-                ENCODERS[m].backward(d_per[m][rows], enc_cache, self.params)
+        for m, d_out in fusion.fuse_batch_backward(d_fused, rows, n_present).items():
+            ENCODERS[m].backward(d_out, enc_caches[m], self.params)
 
     # -- inference ------------------------------------------------------------
 

@@ -150,8 +150,8 @@ def test_c02_fusion_oracle():
         mask = ModalityMask.from_names(names)
         # every modality gets an output; the absent ones must not count
         outputs = {m: rng.normal(size=(1, dim)) for m in MODALITIES}
-        present = {m: np.array([getattr(mask, m)]) for m in MODALITIES}
-        fused, n = fusion.fuse_batch(outputs, present)
+        rows = {m: np.flatnonzero([getattr(mask, m)]) for m in MODALITIES}
+        fused, n = fusion.fuse_batch({m: (r, outputs[m][r]) for m, r in rows.items()}, 1, dim)
         expected = np.zeros(dim)
         for m in mask.names():  # same accumulation order as fuse_batch
             expected = expected + outputs[m][0]

@@ -279,6 +279,10 @@ def test_ppm_round_trip(tmp_path):
 def test_thumbnail_image_validates_payload_length():
     with pytest.raises(PpmError):
         ThumbnailImage(width=2, height=2, data=bytes(11))
+    with pytest.raises(PpmError, match="0x5 must be positive"):
+        ThumbnailImage(width=0, height=5, data=b"")
+    with pytest.raises(PpmError, match="-1x-1 must be positive"):
+        ThumbnailImage(width=-1, height=-1, data=b"abc")
 
 
 # ---------------------------------------------------------------------------

@@ -16,8 +16,9 @@ from baitradar.nncore import Parameter
 
 def fuse_rows(vecs):
     """fuse_batch on a one-row batch with every supplied vector present."""
-    fused, n = fuse_batch({m: np.asarray(v)[None] for m, v in vecs.items()},
-                          {m: np.array([True]) for m in vecs})
+    dim = len(next(iter(vecs.values())))
+    fused, n = fuse_batch({m: (np.array([0]), np.asarray(v)[None]) for m, v in vecs.items()},
+                          1, dim)
     return fused[0], n[0]
 
 
@@ -42,7 +43,7 @@ def test_fuse_two_vectors_arithmetic():
 
 def test_fuse_empty_mask_rejected():
     with pytest.raises(FusionError):
-        fuse_batch({}, {})
+        fuse_batch({}, 1, 2)
 
 
 def test_fuse_is_linear_in_scaling():
@@ -62,7 +63,8 @@ def test_fuse_batch_matches_sum_divide_oracle():
     for i in range(6):
         if not any(present[m][i] for m in names):
             present[names[0]][i] = True
-    fused, n = fuse_batch(outputs, present)
+    rows = {m: np.flatnonzero(present[m]) for m in names}
+    fused, n = fuse_batch({m: (rows[m], outputs[m][rows[m]]) for m in names}, 6, 3)
     for i in range(6):
         total = np.zeros(3)
         count = 0
@@ -75,17 +77,16 @@ def test_fuse_batch_matches_sum_divide_oracle():
 
 
 def test_fuse_batch_backward_splits_gradient():
-    outputs = {"title": np.ones((2, 2)), "tags": np.ones((2, 2))}
-    present = {"title": np.array([True, True]), "tags": np.array([True, False])}
-    _, n = fuse_batch(outputs, present)
-    grads = fuse_batch_backward(np.ones((2, 2)), present, n)
+    rows = {"title": np.array([0, 1]), "tags": np.array([0])}
+    _, n = fuse_batch({m: (r, np.ones((len(r), 2))) for m, r in rows.items()}, 2, 2)
+    grads = fuse_batch_backward(np.ones((2, 2)), rows, n)
     np.testing.assert_array_equal(grads["title"], [[0.5, 0.5], [1.0, 1.0]])
-    np.testing.assert_array_equal(grads["tags"], [[0.5, 0.5], [0.0, 0.0]])
+    np.testing.assert_array_equal(grads["tags"], [[0.5, 0.5]])
 
 
 def test_fuse_batch_rejects_empty_rows():
     with pytest.raises(FusionError):
-        fuse_batch({"title": np.ones((1, 2))}, {"title": np.array([False])})
+        fuse_batch({"title": (np.array([0]), np.ones((1, 2)))}, 2, 2)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,8 @@
 import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -175,6 +179,43 @@ def test_dropout_training_runs_and_is_deterministic(tiny_records, tiny_split, ti
     a, _ = train(tiny_records, tiny_split, cfg, prepared=tiny_prepared)
     b, _ = train(tiny_records, tiny_split, cfg, prepared=tiny_prepared)
     assert dumps(a) == dumps(b)
+
+
+# trains in a fresh interpreter and writes the checkpoint and report.jsonl bytes
+_TRAIN_IN_CHILD = """
+import sys
+from pathlib import Path
+from baitradar.checkpoint import dumps
+from baitradar.corpus import SyntheticConfig, generate_synthetic, split_dataset
+from baitradar.encoders import EncoderConfig
+from baitradar.training import TrainConfig, train
+
+records = generate_synthetic(SyntheticConfig(n_records=40, seed=5))
+encoder = EncoderConfig(fusion_dim=8, embed_dim=6, conv_channels=(2, 3), conv_kernel=3,
+                        pool_size=2, thumb_size=16, stats_hidden=6, head_hidden=6)
+cfg = TrainConfig(seed=5, encoder=encoder, vocab_min_freq=1, batch_size=8, max_epochs=2,
+                  modality_keep_prob=0.7)
+model, report = train(records, split_dataset(records, seed=5), cfg)
+out = Path(sys.argv[1])
+(out / "model.ckpt").write_bytes(dumps(model))
+(out / "report.jsonl").write_text(report.to_jsonl())
+"""
+
+
+def test_training_artifacts_do_not_depend_on_the_hash_seed(tmp_path):
+    """Artifacts are byte-stable across processes for a fixed BLAS thread
+    count; string hashing, which differs per process, must not leak in."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    outputs = []
+    for hash_seed in ("1", "2"):
+        out = tmp_path / hash_seed
+        out.mkdir()
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, OPENBLAS_NUM_THREADS="1",
+                   PYTHONPATH=str(src))
+        subprocess.run([sys.executable, "-c", _TRAIN_IN_CHILD, str(out)], env=env,
+                       check=True, timeout=300)
+        outputs.append([(out / name).read_bytes() for name in ("model.ckpt", "report.jsonl")])
+    assert outputs[0] == outputs[1]
 
 
 def test_config_validation():
