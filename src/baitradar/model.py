@@ -15,7 +15,7 @@ from .encoders import ENCODERS, EncoderConfig, StatsNormalizer
 from .modalities import MODALITIES, ModalityMask
 from .textpipe import Vocabulary
 
-# rows per forward-only pass; it bounds the caches a pass builds (im2col above all)
+# rows per forward-only pass; it bounds the caches a pass builds
 SCORE_CHUNK = 32
 
 

@@ -18,6 +18,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 BCE_EPS = 1e-12
+# images per im2col block in conv2d_forward; it bounds the im2col buffer,
+# which is reused across blocks and not cached for the backward
+CONV_BLOCK = 4
 
 
 class ShapeError(ValueError):
@@ -279,9 +282,11 @@ def _offset_view(x, a: int, b_: int, stride: int, out_h: int, out_w: int):
 def conv2d_forward(x, kernels, bias, stride: int = 1):
     """Valid cross-correlation: x[B,C,H,W] * kernels[K,C,kh,kw] + bias[K].
 
-    im2col is built channel-major, cols[C*kh*kw, B*oh*ow], from kh*kw strided
-    slab copies, so the whole layer is one GEMM. The output is the
-    [B,K,oh,ow] transpose of the [K,B,oh,ow] GEMM result (a view).
+    im2col is built channel-major, cols[C*kh*kw, n*oh*ow], from kh*kw strided
+    slab copies, for ``CONV_BLOCK`` images at a time into one reused buffer;
+    each block's GEMM writes straight into its slice of the [K,B,oh,ow]
+    result. The output is the [B,K,oh,ow] transpose of that result (a view).
+    The cache keeps x, not im2col.
     """
     x, kernels, bias = as_f64(x), as_f64(kernels), as_f64(bias)
     if x.ndim != 4 or kernels.ndim != 4 or x.shape[1] != kernels.shape[1]:
@@ -298,37 +303,73 @@ def conv2d_forward(x, kernels, bias, stride: int = 1):
     out_w = (width - kw) // stride + 1
 
     x_cm = x.transpose(1, 0, 2, 3)
-    cols = np.empty((chans, kh, kw, batch, out_h, out_w))
-    for a in range(kh):
-        for b_ in range(kw):
-            cols[:, a, b_] = _offset_view(x_cm, a, b_, stride, out_h, out_w)
-    cols = cols.reshape(chans * kh * kw, batch * out_h * out_w)
-    out = kernels.reshape(n_k, -1) @ cols
-    out += bias[:, None]
-    out = out.reshape(n_k, batch, out_h, out_w).transpose(1, 0, 2, 3)
-    cache = (cols, x.shape, kernels, stride, (out_h, out_w))
-    return out, cache
+    k2 = kernels.reshape(n_k, -1)
+    per_image = k2.shape[1] * out_h * out_w
+    buf = np.empty(per_image * min(batch, CONV_BLOCK))
+    out = np.empty((n_k, batch, out_h, out_w))
+    for lo in range(0, batch, CONV_BLOCK):
+        n = min(CONV_BLOCK, batch - lo)
+        cols = buf[: per_image * n].reshape(chans, kh, kw, n, out_h, out_w)
+        images = x_cm[:, lo : lo + n]
+        for a in range(kh):
+            for b_ in range(kw):
+                cols[:, a, b_] = _offset_view(images, a, b_, stride, out_h, out_w)
+        np.matmul(k2, cols.reshape(k2.shape[1], -1), out=out[:, lo : lo + n].reshape(n_k, -1))
+    out += bias[:, None, None, None]
+    cache = (x, kernels, stride, (out_h, out_w))
+    return out.transpose(1, 0, 2, 3), cache
 
 
 def conv2d_backward(d_out, cache, need_dx: bool = True):
-    """Gradients for conv2d_forward. Pass need_dx=False for a first layer
-    whose input (raw pixels) is not trainable, to skip the input-gradient
-    GEMM and the col2im scatter."""
-    cols, x_shape, kernels, stride, (out_h, out_w) = cache
-    batch, chans, height, width = x_shape
+    """Gradients for conv2d_forward, one image at a time and without im2col.
+
+    In a row-major [H,W] image, element (a, b) of the window at output (i, j)
+    sits at flat index o + a*W + b, where o = (i*W + j)*stride is the window's
+    origin. With d_out spread onto the input grid at the origins (d_grid, zero
+    elsewhere), both gradients are sums over shifts of the flat image:
+    d_kernels[:, c, a, b] = d_grid . x[c] shifted by a*W + b, and dx[c]
+    gathers kernels[:, c, a, b] . d_grid shifted the other way. Lowering by
+    the kw column shifts only (Cho & Brand 2017, "MEC: Memory-efficient
+    Convolution") leaves each row shift a*W a slice, so each gradient is kh
+    GEMMs per image. At the model's shapes each is under a million
+    multiply-adds (conv1's kernel rows are [8,3836] x [3836,15]); OpenBLAS
+    ran these faster than blocked im2col GEMMs, and their bits did not
+    depend on the BLAS thread count (scripts/blas_thread_hashes.py).
+
+    Pass need_dx=False for a first layer whose input (raw pixels) is not
+    trainable, to skip the input gradient.
+    """
+    x, kernels, stride, (out_h, out_w) = cache
+    batch, chans, height, width = x.shape
     n_k, _, kh, kw = kernels.shape
-    d_kn = as_f64(d_out).transpose(1, 0, 2, 3).reshape(n_k, batch * out_h * out_w)
-    d_bias = d_kn.sum(axis=1)
-    d_kernels = (d_kn @ cols.T).reshape(kernels.shape)
-    if not need_dx:
-        return None, d_kernels, d_bias
-    d_cols = (kernels.reshape(n_k, -1).T @ d_kn).reshape(chans, kh, kw, batch, out_h, out_w)
-    dx = np.zeros((chans, batch, height, width))
-    for a in range(kh):
+    d_out = as_f64(d_out)
+    d_bias = d_out.transpose(1, 0, 2, 3).reshape(n_k, -1).sum(axis=1)
+    # flat extent of the window origins; every shifted slice below stays in
+    # the image because (out_h-1)*stride <= height-kh and likewise for width
+    span = ((out_h - 1) * width + out_w - 1) * stride + 1
+    d_grid = np.zeros((n_k, height * width))
+    origins = d_grid.reshape(n_k, height, width)[:, : out_h * stride : stride, : out_w * stride : stride]
+    x_low = np.empty((chans, kw, span + (kh - 1) * width))
+    d_kernels = np.zeros((n_k, chans, kh, kw))
+    if need_dx:
+        d_low = np.zeros((n_k, kw, span + kw - 1))
+        k_rows = kernels.transpose(2, 1, 0, 3).reshape(kh, chans, n_k * kw)
+        dx = np.zeros((batch, chans, height * width))
+    for img in range(batch):
+        origins[...] = d_out[img]
+        pixels = x[img].reshape(chans, height * width)
         for b_ in range(kw):
-            slab = _offset_view(dx, a, b_, stride, out_h, out_w)
-            slab += d_cols[:, a, b_]
-    return dx.transpose(1, 0, 2, 3), d_kernels, d_bias
+            x_low[:, b_] = pixels[:, b_ : b_ + x_low.shape[2]]
+        for a in range(kh):
+            rows = x_low[:, :, a * width : a * width + span].reshape(chans * kw, span)
+            d_kernels[:, :, a] += (d_grid[:, :span] @ rows.T).reshape(n_k, chans, kw)
+        if need_dx:
+            for b_ in range(kw):
+                d_low[:, b_, b_ : b_ + span] = d_grid[:, :span]
+            d_rows = d_low.reshape(n_k * kw, -1)
+            for a in range(kh):
+                dx[img, :, a * width : a * width + d_rows.shape[1]] += k_rows[a] @ d_rows
+    return (dx.reshape(x.shape) if need_dx else None), d_kernels, d_bias
 
 
 def max_pool2d_forward(x, size: int = 2, stride: int | None = None):

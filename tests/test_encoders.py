@@ -9,6 +9,7 @@ from baitradar.encoders import (
     StatsNormalizer,
     encode_stats_forward,
     encode_text_forward,
+    encode_thumbnail_backward,
     encode_thumbnail_forward,
     init_stats_params,
     init_text_params,
@@ -96,6 +97,48 @@ def test_thumbnail_rejects_non_rgb():
     params = params_of(init_thumbnail_params(CFG, np.random.default_rng(7)))
     with pytest.raises(nncore.ShapeError):
         encode_thumbnail_forward(np.zeros((1, 1, 16, 16)), params, CFG)
+
+
+def relu_then_pool_thumbnail(px, params, cfg, d_out):
+    """The thumbnail encoder with nncore's conv -> relu -> pool order in both
+    passes; accumulates the parameter grads and returns the output."""
+    x, caches = px, []
+    for conv in ("thumbnail.conv1", "thumbnail.conv2"):
+        x, conv_cache = nncore.conv2d_forward(x, params[f"{conv}.kernels"].value,
+                                              params[f"{conv}.bias"].value)
+        x, relu_cache = nncore.relu_forward(x)
+        x, pool_cache = nncore.max_pool2d_forward(x, cfg.pool_size)
+        caches.append((conv, conv_cache, relu_cache, pool_cache))
+    out, dense_cache = nncore.dense_stack_forward(x.reshape(len(x), -1), params, ("thumbnail.dense",))
+    d_x = nncore.dense_stack_backward(d_out, dense_cache, params).reshape(x.shape)
+    for k in reversed(range(len(caches))):
+        conv, conv_cache, relu_cache, pool_cache = caches[k]
+        d_x = nncore.relu_backward(nncore.max_pool2d_backward(d_x, pool_cache), relu_cache)
+        d_x, d_kernels, d_bias = nncore.conv2d_backward(d_x, conv_cache, need_dx=k > 0)
+        params[f"{conv}.kernels"].grad += d_kernels
+        params[f"{conv}.bias"].grad += d_bias
+    return out
+
+
+def test_thumbnail_pool_before_relu_is_exact():
+    rng = np.random.default_rng(9)
+    values = init_thumbnail_params(CFG, rng)
+    # biases of both signs leave some channels with all-negative windows
+    values["thumbnail.conv1.bias"] = np.array([-0.4, 0.3])
+    values["thumbnail.conv2.bias"] = np.array([-0.5, 0.2, 0.0])
+    # three grey levels in 4x4 blocks, and an all-black image: pooling
+    # windows hold tied maxima and all-zero or all-negative plateaus
+    levels = rng.integers(0, 3, size=(5, 3, 4, 4)) / 2.0
+    px = np.repeat(np.repeat(levels, 4, axis=2), 4, axis=3)
+    px[0] = 0.0
+    d_out = rng.normal(size=(5, CFG.fusion_dim))
+    ref_params, params = params_of(values), params_of(values)
+    expected = relu_then_pool_thumbnail(px, ref_params, CFG, d_out)
+    out, cache = encode_thumbnail_forward(px, params, CFG)
+    encode_thumbnail_backward(d_out, cache, params)
+    assert out.tobytes() == expected.tobytes()
+    for name, p in params.items():
+        assert p.grad.tobytes() == ref_params[name].grad.tobytes(), name
 
 
 @pytest.mark.parametrize("w,h", [(16, 16), (120, 90), (1280, 720)])

@@ -324,6 +324,59 @@ def test_conv_backward_without_dx_keeps_weight_gradients():
     np.testing.assert_array_equal(db_only, db)
 
 
+def naive_conv_grads(x, kernels, d_out, stride):
+    """Window-by-window gradients of the convolution: each output's upstream
+    gradient reaches the kernel through its window of x, and the window of dx
+    through the kernel."""
+    n_k, _, kh, kw = kernels.shape
+    dx = np.zeros(x.shape)
+    d_kernels = np.zeros(kernels.shape)
+    for n, k, i, j in np.ndindex(*d_out.shape):
+        window = (n, slice(None), slice(i * stride, i * stride + kh), slice(j * stride, j * stride + kw))
+        d_kernels[k] += d_out[n, k, i, j] * x[window]
+        dx[window] += d_out[n, k, i, j] * kernels[k]
+    return dx, d_kernels, d_out.sum(axis=(0, 2, 3))
+
+
+@pytest.mark.parametrize("batch", [1, nncore.CONV_BLOCK - 1, nncore.CONV_BLOCK + 1,
+                                   2 * nncore.CONV_BLOCK + 3])
+@pytest.mark.parametrize("stride", [1, 2])
+@pytest.mark.parametrize("need_dx", [True, False])
+def test_conv_blocks_match_window_by_window_reference(batch, stride, need_dx):
+    # batch sizes that leave a short last block, one block, and several
+    rng = np.random.default_rng(batch * 10 + stride)
+    x = rng.normal(size=(batch, 2, 9, 8))
+    kernels = rng.normal(size=(3, 2, 3, 2))
+    bias = rng.normal(size=3)
+    out, cache = conv2d_forward(x, kernels, bias, stride=stride)
+    np.testing.assert_allclose(out, naive_conv_oracle(x, kernels, bias, stride), rtol=1e-12, atol=1e-12)
+    d_out = rng.normal(size=out.shape)
+    dx, dk, db = conv2d_backward(d_out, cache, need_dx=need_dx)
+    ref_dx, ref_dk, ref_db = naive_conv_grads(x, kernels, d_out, stride)
+    np.testing.assert_allclose(dk, ref_dk, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(db, ref_db, rtol=1e-12, atol=1e-12)
+    if need_dx:
+        np.testing.assert_allclose(dx, ref_dx, rtol=1e-12, atol=1e-12)
+    else:
+        assert dx is None
+
+
+def test_conv_cache_holds_nothing_larger_than_its_input():
+    # a cached im2col matrix would hold kh*kw = 25 shifted copies of x,
+    # 14 times its size at this shape
+    rng = np.random.default_rng(24)
+    x = rng.uniform(size=(2 * nncore.CONV_BLOCK + 3, 3, 16, 16))
+    _, cache = conv2d_forward(x, rng.normal(size=(4, 3, 5, 5)), np.zeros(4))
+
+    def arrays(item):
+        if isinstance(item, np.ndarray):
+            return [item]
+        return [a for part in item for a in arrays(part)] if isinstance(item, tuple) else []
+
+    cached = arrays(cache)
+    assert cached and max(a.size for a in cached) <= x.size
+
+
 def test_conv_kernel_too_large():
     with pytest.raises(nncore.ShapeError):
         conv2d_forward(np.zeros((1, 1, 3, 3)), np.zeros((1, 1, 5, 5)), np.zeros(1))
