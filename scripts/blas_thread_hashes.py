@@ -5,15 +5,12 @@ Run from the repository root::
     python3 scripts/blas_thread_hashes.py
 
 The script runs itself twice, at ``OPENBLAS_NUM_THREADS=1`` and ``=2``, and
-compares what the two runs computed. Each run
-
-- hashes the forward output, ``dx`` and ``d_kernels`` of the two thumbnail
-  convolutions at the model's shapes, at batch 32 (a full training batch) and
-  20 (a typical batch after modality dropout at keep probability 0.7);
-- wraps every public ``nncore`` function by rebinding the module attribute,
-  as ``perfbench/tracer.py`` does, so that ``src/`` carries no hashing code,
-  and hashes every array each call returns during one seeded epoch of
-  ``train()`` on a 400-record synthetic corpus; it also hashes the checkpoint.
+compares what the two runs computed. Each run wraps every public ``nncore``
+function by rebinding the module attribute, as ``perfbench/tracer.py`` does,
+so that ``src/`` carries no hashing code, and hashes every array each call
+returns during one seeded epoch of ``train()`` on a 400-record synthetic
+corpus; it also hashes the checkpoint. (The thumbnail convolutions at the
+model's shapes are checked on their own by a test in ``tests/test_nncore.py``.)
 
 The table lists each output whose bits differed at the two thread counts: how
 many of its calls differed, and the first such call, numbered over all nncore
@@ -32,30 +29,11 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-CONV_SHAPES = {"conv1": ((3, 64, 64), (8, 3, 5, 5)), "conv2": ((8, 30, 30), (16, 8, 5, 5))}
-CONV_BATCHES = (32, 20)
 
 
 def _digest(arr) -> str:
     import numpy as np
     return hashlib.sha256(np.ascontiguousarray(arr).tobytes()).hexdigest()[:16]
-
-
-def _conv_hashes() -> dict[str, str]:
-    import numpy as np
-    from baitradar import nncore
-    hashes = {}
-    for layer, (in_shape, k_shape) in CONV_SHAPES.items():
-        rng = np.random.default_rng(7)
-        kernels = rng.normal(size=k_shape) * 0.1
-        bias = rng.normal(size=k_shape[0])
-        for batch in CONV_BATCHES:
-            x = rng.uniform(size=(batch, *in_shape))
-            out, cache = nncore.conv2d_forward(x, kernels, bias)
-            dx, d_kernels, _ = nncore.conv2d_backward(rng.normal(size=out.shape), cache)
-            for name, arr in (("out", out), ("dx", dx), ("d_kernels", d_kernels)):
-                hashes[f"{layer} B={batch} {name}"] = _digest(arr)
-    return hashes
 
 
 def _training_hashes() -> tuple[dict[str, list[tuple[int, str, str]]], str]:
@@ -92,7 +70,7 @@ def _training_hashes() -> tuple[dict[str, list[tuple[int, str, str]]], str]:
 def child() -> None:
     sys.path.insert(0, str(ROOT / "src"))
     calls, checkpoint = _training_hashes()
-    print(json.dumps({"conv": _conv_hashes(), "calls": calls, "checkpoint": checkpoint}))
+    print(json.dumps({"calls": calls, "checkpoint": checkpoint}))
 
 
 def main() -> int:
@@ -103,12 +81,9 @@ def main() -> int:
                              capture_output=True, text=True, timeout=1800)
         runs[threads] = json.loads(out.stdout.splitlines()[-1])
     one, two = runs["1"], runs["2"]
-    print("thumbnail convolutions at the model's shapes (1 vs 2 BLAS threads):")
-    for key, digest in one["conv"].items():
-        print(f"  {key:24s} {'same' if digest == two['conv'][key] else 'DIFFERENT'}")
-    print("one training epoch: each nncore output that differed (calls differing / calls,")
-    print("the first differing call, numbered over all nncore calls in the epoch, and")
-    print("the shapes of its array arguments):")
+    print("one training epoch at 1 vs 2 BLAS threads: each nncore output that differed")
+    print("(calls differing / calls, the first differing call, numbered over all nncore")
+    print("calls in the epoch, and the shapes of its array arguments):")
     rows = []
     for key, calls in one["calls"].items():
         other = two["calls"].get(key, [])

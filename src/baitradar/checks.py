@@ -79,19 +79,20 @@ def check_lstm(seed: int = 103) -> GradCheckReport:
     return _probe(params, rng.normal(size=(3, hidden)), run)
 
 
-def check_conv_relu_pool(seed: int = 104) -> GradCheckReport:
+def check_conv_pool_relu(seed: int = 104) -> GradCheckReport:
+    """conv -> max-pool -> relu, the thumbnail encoder's order."""
     rng = np.random.default_rng(seed)
     params = [_param(rng, "x", (2, 2, 6, 6)), _param(rng, "kernels", (3, 2, 3, 3)),
               _param(rng, "bias", (3,))]
 
     def run(weights):
         c, c_cache = nncore.conv2d_forward(*(p.value for p in params))
-        r, r_cache = nncore.relu_forward(c)
-        p, p_cache = nncore.max_pool2d_forward(r, 2)
-        d_r = nncore.max_pool2d_backward(weights, p_cache)
-        d_c = nncore.relu_backward(d_r, r_cache)
+        p, p_cache = nncore.max_pool2d_forward(c, 2)
+        r, r_cache = nncore.relu_forward(p)
+        d_p = nncore.relu_backward(weights, r_cache)
+        d_c = nncore.max_pool2d_backward(d_p, p_cache)
         _add_grads(params, nncore.conv2d_backward(d_c, c_cache))
-        return p
+        return r
 
     return _probe(params, rng.normal(size=(2, 3, 2, 2)), run)
 
@@ -142,7 +143,7 @@ def check_text_encoder(seed: int = 106) -> GradCheckReport:
 
 
 def check_thumbnail_encoder(seed: int = 107) -> GradCheckReport:
-    """conv -> relu -> pool -> conv -> relu -> pool -> dense end to end."""
+    """conv -> pool -> relu -> conv -> pool -> relu -> dense end to end."""
     rng = np.random.default_rng(seed)
     params = _params(encoders.init_thumbnail_params(_TINY, rng))
     px = rng.uniform(0.0, 1.0, size=(2, 3, _TINY.thumb_size, _TINY.thumb_size))
@@ -223,7 +224,7 @@ ALL_CHECKS = (
     ("dense", check_dense),
     ("embedding", check_embedding),
     ("lstm", check_lstm),
-    ("conv_relu_pool", check_conv_relu_pool),
+    ("conv_pool_relu", check_conv_pool_relu),
     ("fusion_head", check_fusion_head),
     ("linear_head", lambda: check_fusion_head(arch="linear")),
     ("text_encoder", check_text_encoder),

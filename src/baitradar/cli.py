@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -65,6 +66,14 @@ def _signal(text: str) -> tuple[str, float]:
     if name not in MODALITIES or not eq:
         raise ValueError(f"expected MODALITY=VALUE with MODALITY in {MODALITIES}, got {text!r}")
     return name, float(value)
+
+
+@_arg_type
+def _tolerance(text: str) -> float:
+    value = float(text)
+    if not 0.0 < value < math.inf:  # nan fails both comparisons
+        raise ValueError(f"must be finite and > 0, got {text}")
+    return value
 
 
 def _int_at_least(low: int):
@@ -166,7 +175,7 @@ def _build_parser() -> _Parser:
         pr.add_argument(f"--{name.replace('_', '-')}", type=int)
 
     gc = sub.add_parser("grad-check", help="finite-difference check of every layer")
-    gc.add_argument("--tol", type=float, default=checks.DEFAULT_TOLERANCE)
+    gc.add_argument("--tol", type=_tolerance, default=checks.DEFAULT_TOLERANCE)
 
     return p
 

@@ -18,9 +18,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 BCE_EPS = 1e-12
-# images per im2col block in conv2d_forward; it bounds the im2col buffer,
-# which is reused across blocks and not cached for the backward
-CONV_BLOCK = 4
 
 
 class ShapeError(ValueError):
@@ -274,19 +271,36 @@ def lstm_backward(d_h, cache):
 # ---------------------------------------------------------------------------
 
 def _offset_view(x, a: int, b_: int, stride: int, out_h: int, out_w: int):
-    """The [.., .., out_h, out_w] view of x that holds element (a, b_) of
-    every window placed at ``stride``."""
-    return x[:, :, a : a + out_h * stride : stride, b_ : b_ + out_w * stride : stride]
+    """The [..., out_h, out_w] view of x that holds element (a, b_) of every
+    window placed at ``stride``; at (0, 0) it holds the window origins."""
+    return x[..., a : a + out_h * stride : stride, b_ : b_ + out_w * stride : stride]
+
+
+def _lowered_images(x, kh: int, kw: int, span: int):
+    """Each image of x[B,C,H,W] in turn as kh [C*kw, span] matrices, one per
+    kernel row: rows[a][c*kw + b, p] = x[img, c].flat[p + a*W + b].
+
+    Element (a, b) of the window at output (i, j) sits at flat index
+    o + a*W + b of a row-major [H,W] image, where o = (i*W + j)*stride < span
+    is the window's origin, so the conv and its gradients are sums over shifts
+    of the flat image. Lowering by the kw column shifts only (Cho & Brand 2017,
+    "MEC: Memory-efficient Convolution") leaves each row shift a*W a slice,
+    inside the image as (out_h-1)*stride <= H-kh. The lists share one buffer.
+    """
+    batch, chans, height, width = x.shape
+    x_low = np.empty((chans, kw, span + (kh - 1) * width))
+    for pixels in x.reshape(batch, chans, height * width):
+        for b_ in range(kw):
+            x_low[:, b_] = pixels[:, b_ : b_ + x_low.shape[2]]
+        yield [x_low[:, :, a * width : a * width + span].reshape(-1, span) for a in range(kh)]
 
 
 def conv2d_forward(x, kernels, bias, stride: int = 1):
     """Valid cross-correlation: x[B,C,H,W] * kernels[K,C,kh,kw] + bias[K].
 
-    im2col is built channel-major, cols[C*kh*kw, n*oh*ow], from kh*kw strided
-    slab copies, for ``CONV_BLOCK`` images at a time into one reused buffer;
-    each block's GEMM writes straight into its slice of the [K,B,oh,ow]
-    result. The output is the [B,K,oh,ow] transpose of that result (a view).
-    The cache keeps x, not im2col.
+    Per image, the kh GEMMs k_rows[a] @ rows[a] on its ``_lowered_images``
+    sum kernel row by kernel row into a flat [K, H*W] grid, read at the window
+    origins. The cache keeps x.
     """
     x, kernels, bias = as_f64(x), as_f64(kernels), as_f64(bias)
     if x.ndim != 4 or kernels.ndim != 4 or x.shape[1] != kernels.shape[1]:
@@ -302,39 +316,27 @@ def conv2d_forward(x, kernels, bias, stride: int = 1):
     out_h = (height - kh) // stride + 1
     out_w = (width - kw) // stride + 1
 
-    x_cm = x.transpose(1, 0, 2, 3)
-    k2 = kernels.reshape(n_k, -1)
-    per_image = k2.shape[1] * out_h * out_w
-    buf = np.empty(per_image * min(batch, CONV_BLOCK))
-    out = np.empty((n_k, batch, out_h, out_w))
-    for lo in range(0, batch, CONV_BLOCK):
-        n = min(CONV_BLOCK, batch - lo)
-        cols = buf[: per_image * n].reshape(chans, kh, kw, n, out_h, out_w)
-        images = x_cm[:, lo : lo + n]
-        for a in range(kh):
-            for b_ in range(kw):
-                cols[:, a, b_] = _offset_view(images, a, b_, stride, out_h, out_w)
-        np.matmul(k2, cols.reshape(k2.shape[1], -1), out=out[:, lo : lo + n].reshape(n_k, -1))
-    out += bias[:, None, None, None]
+    span = ((out_h - 1) * width + out_w - 1) * stride + 1
+    k_rows = kernels.transpose(2, 0, 1, 3).reshape(kh, n_k, chans * kw)
+    grid = np.empty((n_k, height * width))
+    origins = _offset_view(grid.reshape(n_k, height, width), 0, 0, stride, out_h, out_w)
+    out = np.empty((batch, n_k, out_h, out_w))
+    for img, rows in enumerate(_lowered_images(x, kh, kw, span)):
+        acc = np.matmul(k_rows[0], rows[0], out=grid[:, :span])
+        for a in range(1, kh):
+            acc += k_rows[a] @ rows[a]
+        out[img] = origins
+    out += bias[:, None, None]
     cache = (x, kernels, stride, (out_h, out_w))
-    return out.transpose(1, 0, 2, 3), cache
+    return out, cache
 
 
 def conv2d_backward(d_out, cache, need_dx: bool = True):
-    """Gradients for conv2d_forward, one image at a time and without im2col.
+    """Gradients for conv2d_forward, one image at a time on its lowering.
 
-    In a row-major [H,W] image, element (a, b) of the window at output (i, j)
-    sits at flat index o + a*W + b, where o = (i*W + j)*stride is the window's
-    origin. With d_out spread onto the input grid at the origins (d_grid, zero
-    elsewhere), both gradients are sums over shifts of the flat image:
-    d_kernels[:, c, a, b] = d_grid . x[c] shifted by a*W + b, and dx[c]
-    gathers kernels[:, c, a, b] . d_grid shifted the other way. Lowering by
-    the kw column shifts only (Cho & Brand 2017, "MEC: Memory-efficient
-    Convolution") leaves each row shift a*W a slice, so each gradient is kh
-    GEMMs per image. At the model's shapes each is under a million
-    multiply-adds (conv1's kernel rows are [8,3836] x [3836,15]); OpenBLAS
-    ran these faster than blocked im2col GEMMs, and their bits did not
-    depend on the BLAS thread count (scripts/blas_thread_hashes.py).
+    With d_out spread onto a flat [K, H*W] grid at the window origins (d_grid,
+    zero elsewhere), d_kernels[:, :, a] gathers d_grid @ rows[a].T, and dx[c]
+    gathers kernels[:, c, a, b] . d_grid shifted the other way: kh GEMMs each.
 
     Pass need_dx=False for a first layer whose input (raw pixels) is not
     trainable, to skip the input gradient.
@@ -344,25 +346,18 @@ def conv2d_backward(d_out, cache, need_dx: bool = True):
     n_k, _, kh, kw = kernels.shape
     d_out = as_f64(d_out)
     d_bias = d_out.transpose(1, 0, 2, 3).reshape(n_k, -1).sum(axis=1)
-    # flat extent of the window origins; every shifted slice below stays in
-    # the image because (out_h-1)*stride <= height-kh and likewise for width
     span = ((out_h - 1) * width + out_w - 1) * stride + 1
     d_grid = np.zeros((n_k, height * width))
-    origins = d_grid.reshape(n_k, height, width)[:, : out_h * stride : stride, : out_w * stride : stride]
-    x_low = np.empty((chans, kw, span + (kh - 1) * width))
+    origins = _offset_view(d_grid.reshape(n_k, height, width), 0, 0, stride, out_h, out_w)
     d_kernels = np.zeros((n_k, chans, kh, kw))
     if need_dx:
         d_low = np.zeros((n_k, kw, span + kw - 1))
         k_rows = kernels.transpose(2, 1, 0, 3).reshape(kh, chans, n_k * kw)
         dx = np.zeros((batch, chans, height * width))
-    for img in range(batch):
+    for img, rows in enumerate(_lowered_images(x, kh, kw, span)):
         origins[...] = d_out[img]
-        pixels = x[img].reshape(chans, height * width)
-        for b_ in range(kw):
-            x_low[:, b_] = pixels[:, b_ : b_ + x_low.shape[2]]
         for a in range(kh):
-            rows = x_low[:, :, a * width : a * width + span].reshape(chans * kw, span)
-            d_kernels[:, :, a] += (d_grid[:, :span] @ rows.T).reshape(n_k, chans, kw)
+            d_kernels[:, :, a] += (d_grid[:, :span] @ rows[a].T).reshape(n_k, chans, kw)
         if need_dx:
             for b_ in range(kw):
                 d_low[:, b_, b_ : b_ + span] = d_grid[:, :span]

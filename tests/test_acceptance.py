@@ -133,7 +133,7 @@ def test_c01_gradient_integrity():
     reports = checks.run_gradient_checks()
     seconds = time.perf_counter() - t0
     names = [name for name, _ in reports]
-    for required in ("dense", "embedding", "lstm", "conv_relu_pool", "fusion_head", "whole_model"):
+    for required in ("dense", "embedding", "lstm", "conv_pool_relu", "fusion_head", "whole_model"):
         assert required in names
     for name, report in reports:
         assert report.max_rel_err <= GRAD_TOL, f"{name}: {report.max_rel_err}"

@@ -171,6 +171,14 @@ def test_grad_check_strict_tolerance_fails(capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("tol", ["nan", "-1", "0", "inf"])
+def test_grad_check_refuses_a_tolerance_that_is_not_finite_and_positive(capsys, tol):
+    assert run(["grad-check", "--tol", tol]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""  # refused at parse time, before any check runs
+    assert err.count("\n") == 1 and f"--tol: must be finite and > 0, got {tol}" in err
+
+
 def test_unknown_subcommand_exits_1(capsys):
     assert run(["frobnicate"]) == 1
 

@@ -2,6 +2,12 @@
 multiplication, naive quadruple-loop convolution, a step-by-step scalar LSTM
 recurrence, closed-form Adam updates, and central finite differences."""
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -281,6 +287,8 @@ def test_conv_all_ones_box():
     ((2, 3, 5, 6), (4, 3, 3, 3), 1),
     ((1, 2, 7, 7), (3, 2, 3, 3), 2),
     ((2, 1, 6, 4), (2, 1, 2, 2), 2),
+    # stride above the kernel size: out_h * stride = 9 > H = 8
+    ((2, 2, 8, 9), (3, 2, 2, 2), 3),
 ])
 def test_conv_matches_naive_oracle(shape, kshape, stride):
     rng = np.random.default_rng(hash((shape, kshape, stride)) % 2**32)
@@ -338,12 +346,11 @@ def naive_conv_grads(x, kernels, d_out, stride):
     return dx, d_kernels, d_out.sum(axis=(0, 2, 3))
 
 
-@pytest.mark.parametrize("batch", [1, nncore.CONV_BLOCK - 1, nncore.CONV_BLOCK + 1,
-                                   2 * nncore.CONV_BLOCK + 3])
-@pytest.mark.parametrize("stride", [1, 2])
+@pytest.mark.parametrize("batch", [1, 3, 5, 11])
+# at stride 3 the stride is above kw = 2, and out_w * stride = 9 > W = 8
+@pytest.mark.parametrize("stride", [1, 2, 3])
 @pytest.mark.parametrize("need_dx", [True, False])
-def test_conv_blocks_match_window_by_window_reference(batch, stride, need_dx):
-    # batch sizes that leave a short last block, one block, and several
+def test_conv_matches_window_by_window_reference(batch, stride, need_dx):
     rng = np.random.default_rng(batch * 10 + stride)
     x = rng.normal(size=(batch, 2, 9, 8))
     kernels = rng.normal(size=(3, 2, 3, 2))
@@ -365,7 +372,7 @@ def test_conv_cache_holds_nothing_larger_than_its_input():
     # a cached im2col matrix would hold kh*kw = 25 shifted copies of x,
     # 14 times its size at this shape
     rng = np.random.default_rng(24)
-    x = rng.uniform(size=(2 * nncore.CONV_BLOCK + 3, 3, 16, 16))
+    x = rng.uniform(size=(11, 3, 16, 16))
     _, cache = conv2d_forward(x, rng.normal(size=(4, 3, 5, 5)), np.zeros(4))
 
     def arrays(item):
@@ -375,6 +382,46 @@ def test_conv_cache_holds_nothing_larger_than_its_input():
 
     cached = arrays(cache)
     assert cached and max(a.size for a in cached) <= x.size
+
+
+_CONV_HASHES_IN_CHILD = """
+import hashlib, json
+import numpy as np
+from baitradar import nncore
+
+def digest(arr):
+    return hashlib.sha256(np.ascontiguousarray(arr).tobytes()).hexdigest()
+
+hashes = {}
+for layer, in_shape, k_shape in (("conv1", (3, 64, 64), (8, 3, 5, 5)),
+                                 ("conv2", (8, 30, 30), (16, 8, 5, 5))):
+    rng = np.random.default_rng(7)
+    kernels = rng.normal(size=k_shape) * 0.1
+    bias = rng.normal(size=k_shape[0])
+    for batch in (32, 20):
+        x = rng.uniform(size=(batch, *in_shape))
+        out, cache = nncore.conv2d_forward(x, kernels, bias)
+        dx, d_kernels, _ = nncore.conv2d_backward(rng.normal(size=out.shape), cache)
+        for name, arr in (("out", out), ("dx", dx), ("d_kernels", d_kernels)):
+            hashes[f"{layer} B={batch} {name}"] = digest(arr)
+print(json.dumps(hashes))
+"""
+
+
+def test_conv_bits_do_not_depend_on_the_blas_thread_count():
+    """The thumbnail convs at the model's shapes, at a full training batch
+    (32) and a typical batch after modality dropout (20), give the same
+    forward output, dx and d_kernels at 1 and 2 BLAS threads."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    runs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   PYTHONPATH=str(src))
+        out = subprocess.run([sys.executable, "-c", _CONV_HASHES_IN_CHILD], env=env, check=True,
+                             capture_output=True, text=True, timeout=300)
+        runs.append(json.loads(out.stdout))
+    assert len(runs[0]) == 12
+    assert runs[0] == runs[1]
 
 
 def test_conv_kernel_too_large():
