@@ -175,13 +175,17 @@ def sweep_combinations(records, split: DatasetSplit, base_config: TrainConfig,
     test accuracy (ties broken by combination label).
 
     Preprocessing (vocabulary, normalization, featurization) is shared across
-    combinations since it depends only on the training split. With ``out_dir``
+    combinations since it depends only on the training split; it covers the
+    union of the combinations' modalities. With ``out_dir``
     set, each combination's checkpoint is written there and referenced in the
     result table.
     """
     combos = normalize_combinations(combinations)
     if prepared is None:
-        prepared = prepare_corpus(records, split, base_config, base_dir=base_dir)
+        union = tuple(m for m in MODALITIES if any(m in combo for combo in combos))
+        prepared = prepare_corpus(
+            records, split, dc_replace(base_config, regime="scratch", modalities=union),
+            base_dir=base_dir)
     test_records = select_records(records, split.test)
 
     rows = []

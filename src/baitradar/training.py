@@ -109,19 +109,24 @@ class TrainReport:
 
 @dataclass
 class PreparedCorpus:
-    """Frozen preprocessing plus encoder-ready features for every record,
-    computed once and shared across training runs on the same split."""
+    """Frozen preprocessing plus encoder-ready features, computed once and
+    shared across training runs on the same split. ``features`` holds the
+    training and validation records only, each featurized for ``modalities``
+    alone; a run may train any subset of those modalities."""
 
     vocab: Vocabulary
     stats_norm: StatsNormalizer
     features: dict[str, Features]
+    modalities: tuple[str, ...]
 
 
 def prepare_corpus(records, split: DatasetSplit, config: TrainConfig, base_dir=None,
                    vocab: Vocabulary | None = None,
                    stats_norm: StatsNormalizer | None = None) -> PreparedCorpus:
-    """Build the vocabulary and statistics normalization from the training
-    split only, then featurize every record with the full modality set."""
+    """Build the vocabulary from all text of the training split and fit the
+    statistics normalization whenever training records carry statistics, then
+    featurize the records ``train`` reads (training and validation) for
+    ``config.modalities`` only. Test records are left to the scorer."""
     train_recs = select_records(records, split.train)
     if vocab is None:
         vocab = textpipe.build_vocab(
@@ -132,10 +137,12 @@ def prepare_corpus(records, split: DatasetSplit, config: TrainConfig, base_dir=N
         if any(r.stats is not None for r in train_recs):
             stats_norm.fit(train_recs)
     features = {
-        r.id: featurize_record(r, vocab, stats_norm, config.encoder, base_dir=base_dir)
-        for r in records
+        r.id: featurize_record(r, vocab, stats_norm, config.encoder, base_dir=base_dir,
+                               modalities=config.modalities)
+        for r in select_records(records, (*split.train, *split.validation))
     }
-    return PreparedCorpus(vocab=vocab, stats_norm=stats_norm, features=features)
+    return PreparedCorpus(vocab=vocab, stats_norm=stats_norm, features=features,
+                          modalities=config.modalities)
 
 
 def _labels_of(feats: list[Features], context: str) -> np.ndarray:
@@ -188,6 +195,13 @@ def train(records, split: DatasetSplit, config: TrainConfig,
                                   vocab=vocab, stats_norm=norm)
     elif inits and prepared.vocab.index != inits[0].vocab.index:
         raise TrainingError("prepared corpus vocabulary differs from the init checkpoint's")
+    lacking = [m for m in config.modalities if m not in prepared.modalities]
+    if lacking:
+        raise TrainingError(f"prepared corpus holds no {', '.join(lacking)} features")
+    unprepared = [rid for rid in (*split.train, *split.validation)
+                  if rid not in prepared.features]
+    if unprepared:
+        raise TrainingError(f"prepared corpus holds no features for record {unprepared[0]!r}")
 
     head_arch = "linear" if config.regime == "individual" else "mlp"
     model = BaitRadarModel.build(

@@ -152,6 +152,16 @@ def test_sweep_trains_evaluates_and_ranks(tiny_records, tiny_split, tiny_config,
     assert result.to_gnuplot().startswith("# combination accuracy")
 
 
+def test_sweep_prepares_the_union_of_its_combinations(tiny_records, tiny_split, tiny_config):
+    """A title-only base config still trains and ranks the six-modality row."""
+    cfg = dataclasses.replace(tiny_config, modalities=("title",), max_epochs=1, batch_size=8)
+    result = sweep_combinations(tiny_records, tiny_split, cfg, combinations=[("title",)])
+    assert {r.label for r in result.rows} == {combination_label(MODALITIES), "title"}
+    assert [r.accuracy for r in result.rows] == sorted((r.accuracy for r in result.rows),
+                                                       reverse=True)
+    assert result.models[combination_label(MODALITIES)].modalities == MODALITIES
+
+
 def test_sweep_deterministic(tiny_records, tiny_split, tiny_config, tiny_prepared):
     cfg = dataclasses.replace(tiny_config, max_epochs=2, batch_size=8, patience=5)
     a = sweep_combinations(tiny_records, tiny_split, cfg, combinations=[("title",)],

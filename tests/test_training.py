@@ -7,17 +7,20 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from baitradar import encoders
 from baitradar.checkpoint import dumps
 from baitradar.corpus import (
     DatasetSplit,
     SignalStrengths,
     SyntheticConfig,
     generate_synthetic,
+    load_jsonl,
     split_dataset,
+    write_corpus,
 )
 from baitradar.encoders import ConfigError, EncoderConfig
 from baitradar.modalities import ModalityMask
-from baitradar.model import BaitRadarModel
+from baitradar.model import BaitRadarModel, featurize_record
 from baitradar.training import (
     STOP_LOSS_THRESHOLD,
     STOP_PATIENCE,
@@ -151,10 +154,11 @@ def test_record_without_a_usable_modality_is_named(tiny_records, tiny_split):
         train(records, tiny_split, quick_config(modalities=("thumbnail",)))
 
 
-def test_batch_accuracy_counts_like_one_row_forwards(tiny_model, tiny_prepared):
+def test_batch_accuracy_counts_like_one_row_forwards(tiny_model, tiny_prepared, tiny_records):
     """40 rows cross a score-pass boundary; the count must equal the one
     from one forward per row."""
-    feats = list(tiny_prepared.features.values())
+    feats = [featurize_record(r, tiny_prepared.vocab, tiny_prepared.stats_norm, SMALL_ENCODER)
+             for r in tiny_records]
     masks = [f.present for f in feats]
     labels = np.array([f.label for f in feats])
     assert len(feats) == 40
@@ -163,6 +167,45 @@ def test_batch_accuracy_counts_like_one_row_forwards(tiny_model, tiny_prepared):
         for f, m, y in zip(feats, masks, labels)
     )
     assert batch_accuracy(tiny_model, feats, masks, labels) == hits / 40
+
+
+def test_text_only_training_from_disk_never_opens_a_thumbnail(tiny_records, tiny_split,
+                                                               tmp_path, monkeypatch):
+    """Only the training and validation records are featurized, and only for
+    the trained modalities, so no PPM file is read."""
+    write_corpus(tiny_records, tmp_path / "corpus.jsonl")
+    records = load_jsonl(tmp_path / "corpus.jsonl")
+    assert all(r.thumbnail_path is not None for r in records)
+
+    def refuse(path):
+        raise AssertionError(f"opened thumbnail {path}")
+
+    monkeypatch.setattr(encoders, "load_ppm", refuse)
+    cfg = quick_config(modalities=("title", "tags"), max_epochs=1)
+    prepared = prepare_corpus(records, tiny_split, cfg, base_dir=tmp_path)
+    train(records, tiny_split, cfg, base_dir=tmp_path)
+    train(records, tiny_split, cfg, prepared=prepared)
+    assert set(prepared.features) == {*tiny_split.train, *tiny_split.validation}
+    assert prepared.modalities == ("title", "tags")
+    for feats in prepared.features.values():
+        assert set(feats.inputs) <= set(cfg.modalities)
+
+
+def test_prepared_corpus_lacking_a_trained_modality_is_refused(tiny_records, tiny_split):
+    prepared = prepare_corpus(tiny_records, tiny_split, quick_config(modalities=("title",)))
+    with pytest.raises(TrainingError, match="thumbnail"):
+        train(tiny_records, tiny_split, quick_config(modalities=("title", "thumbnail")),
+              prepared=prepared)
+
+
+def test_prepared_corpus_lacking_a_split_record_is_refused(tiny_records, tiny_split,
+                                                           tiny_prepared):
+    """A split that names a test record the corpus was not prepared for."""
+    stranger = tiny_split.test[0]
+    assert stranger not in tiny_prepared.features
+    split = dataclasses.replace(tiny_split, validation=(*tiny_split.validation, stranger))
+    with pytest.raises(TrainingError, match=stranger):
+        train(tiny_records, split, quick_config(), prepared=tiny_prepared)
 
 
 def test_modality_dropout_never_empties_mask():
