@@ -20,7 +20,7 @@ from .fusion import Prediction
 from .metrics import ConfusionMatrix, SweepResult, accuracy, evaluate, sweep_combinations
 from .modalities import MODALITIES, ModalityMask
 from .model import BaitRadarModel
-from .textpipe import TokenSequence, Vocabulary, build_vocab, encode, tokenize
+from .textpipe import Vocabulary, build_vocab, encode, tokenize
 from .training import TrainConfig, TrainReport, prepare_corpus, train, train_individual
 
 __version__ = "0.1.0"
@@ -39,7 +39,6 @@ __all__ = [
     "SweepResult",
     "SyntheticConfig",
     "ThumbnailImage",
-    "TokenSequence",
     "TrainConfig",
     "TrainReport",
     "VideoRecord",

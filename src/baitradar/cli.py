@@ -161,18 +161,22 @@ def _build_parser() -> _Parser:
     pr.add_argument("--model", required=True)
     pr.add_argument("--in", dest="input", help="JSONL file of records")
     pr.add_argument("--modalities", type=_modalities, help="restrict the modalities consulted")
-    pr.add_argument("--id", default="record0")
-    pr.add_argument("--channel-id", default="")
-    pr.add_argument("--title")
-    pr.add_argument("--tags", type=lambda text: text.split(",") if text else None,
-                    help="comma-separated")
-    pr.add_argument("--comment", dest="comments", action="append", metavar="COMMENT",
-                    help="repeatable")
-    pr.add_argument("--transcript")
-    pr.add_argument("--thumbnail", help="path to a binary PPM")
+    # the record flags describe the one record to classify without --in
+    record_flags = [
+        pr.add_argument("--id"),
+        pr.add_argument("--channel-id"),
+        pr.add_argument("--title"),
+        pr.add_argument("--tags", type=lambda text: text.split(",") if text else None,
+                        help="comma-separated"),
+        pr.add_argument("--comment", dest="comments", action="append", metavar="COMMENT",
+                        help="repeatable"),
+        pr.add_argument("--transcript"),
+        pr.add_argument("--thumbnail", help="path to a binary PPM"),
+    ]
     # statistics are present when any count is given; counts not given are 0
-    for name in corpus.STATS_FIELDS:
-        pr.add_argument(f"--{name.replace('_', '-')}", type=int)
+    record_flags += [pr.add_argument(f"--{name.replace('_', '-')}", type=int)
+                     for name in corpus.STATS_FIELDS]
+    pr.set_defaults(record_flags={a.dest: a.option_strings[0] for a in record_flags})
 
     gc = sub.add_parser("grad-check", help="finite-difference check of every layer")
     gc.add_argument("--tol", type=_tolerance, default=checks.DEFAULT_TOLERANCE)
@@ -251,6 +255,7 @@ def cmd_build_vocab(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = make_train_config(args)
+    _built_from_flags(cfg.check_init)(len(args.init))
     records = corpus.load_jsonl(args.input)
     base_dir = Path(args.input).parent
     split = corpus.split_dataset(records, cfg.seed, args.channel_disjoint)
@@ -315,10 +320,14 @@ def _record_from_flags(args) -> corpus.VideoRecord:
     stats = None
     if any(v is not None for v in counts.values()):
         stats = {k: 0 if v is None else v for k, v in counts.items()}
-    return corpus.record_from_obj({**vars(args), "stats": stats})
+    record_id = "record0" if args.id is None else args.id
+    return corpus.record_from_obj({**vars(args), "id": record_id, "stats": stats})
 
 
 def cmd_predict(args) -> int:
+    given = [flag for dest, flag in args.record_flags.items() if getattr(args, dest) is not None]
+    if args.input and given:
+        raise _UsageError(f"{given[0]} describes one record and cannot be combined with --in")
     record = None if args.input else _record_from_flags(args)
     model = load_checkpoint(args.model)
     if args.input:

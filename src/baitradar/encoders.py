@@ -150,14 +150,9 @@ def init_stats_params(cfg: EncoderConfig, rng: np.random.Generator) -> dict[str,
 # ---------------------------------------------------------------------------
 
 def encode_text_forward(modality: str, ids, lengths, params):
-    """ids[B,L] -> embedding -> LSTM final hidden [B,d]. Columns past the
-    longest row are padding the LSTM never reads, so they are cut before the
-    embedding lookup."""
+    """ids[B,L] -> embedding -> LSTM final hidden [B,d]; row i holds
+    lengths[i] ids, then padding the LSTM never reads."""
     table = params[f"{modality}.embedding.table"]
-    lengths = np.asarray(lengths, dtype=np.int64)
-    ids = np.asarray(ids)
-    if ids.ndim == 2 and lengths.size:
-        ids = ids[:, : lengths.max()]
     emb, emb_cache = nncore.embedding_forward(ids, table.value)
     h, lstm_cache = nncore.lstm_forward(
         emb,
@@ -228,8 +223,11 @@ def encode_stats_backward(d_out, cache, params):
 class EncoderKind:
     """One kind of sub-network, each callable taking the modality name m:
     init(m, vocab_size, cfg, rng) -> {parameter name: initial value};
-    featurize(record, m, vocab, stats_norm, cfg, base_dir) -> one record's payload;
-    forward(m, payloads, params, cfg) -> (out [B,d], cache);
+    featurize(record, m, vocab, stats_norm, cfg, base_dir) -> one record's
+    payload: a text's kept token ids (int64, unpadded), a thumbnail's uint8
+    [3,S,S] pixels, or the normalized statistics;
+    forward(m, payloads, params, cfg) -> (out [B,d], cache), where the text
+    kind pads its batch to the longest row;
     backward(d_out, cache, params) accumulates the parameter grads.
     Entries call the functions above by global name at call time, so that
     rebinding those module attributes (as an external tracer does) is seen.
@@ -241,9 +239,12 @@ class EncoderKind:
     backward: Callable
 
 
-def _text_payload(record, m, vocab, stats_norm, cfg, base_dir):
-    seq = textpipe.encode_modality(record, m, vocab)
-    return np.asarray(seq.ids, dtype=np.int64), seq.true_length
+def _text_forward(m, payloads, params, cfg):
+    lengths = np.array([len(ids) for ids in payloads], dtype=np.int64)
+    batch = np.full((len(payloads), lengths.max()), textpipe.PAD_ID, dtype=np.int64)
+    for row, ids in zip(batch, payloads):
+        row[: len(ids)] = ids
+    return encode_text_forward(m, batch, lengths, params)
 
 
 def _thumbnail_payload(record, m, vocab, stats_norm, cfg, base_dir):
@@ -259,10 +260,9 @@ def _thumbnail_payload(record, m, vocab, stats_norm, cfg, base_dir):
 ENCODERS: dict[str, EncoderKind] = {
     **dict.fromkeys(TEXT_MODALITIES, EncoderKind(
         init=lambda m, vocab_size, cfg, rng: init_text_params(m, vocab_size, cfg, rng),
-        featurize=_text_payload,
-        forward=lambda m, payloads, params, cfg: encode_text_forward(
-            m, np.stack([ids for ids, _ in payloads]),
-            np.array([n for _, n in payloads], dtype=np.int64), params),
+        featurize=lambda record, m, vocab, norm, cfg, base_dir: textpipe.encode_modality(
+            record, m, vocab),
+        forward=_text_forward,
         backward=lambda d_out, cache, params: encode_text_backward(d_out, cache, params),
     )),
     "thumbnail": EncoderKind(

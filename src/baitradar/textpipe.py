@@ -1,10 +1,14 @@
-"""Tokenization, vocabulary construction, and fixed-length integer encoding
-for the text modalities (title, tags, comments, transcript)."""
+"""Tokenization, vocabulary construction, and integer encoding for the text
+modalities (title, tags, comments, transcript): a text becomes the ids of
+its first ``MAX_LEN`` tokens, unpadded."""
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import islice
+
+import numpy as np
 
 from .modalities import TEXT_MODALITIES
 
@@ -17,8 +21,8 @@ UNK_TOKEN = "<unk>"
 # is dropped, so "Top-10 tricks, 2020" -> ["top", "10", "tricks", "2020"].
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
 
-# Fixed per-modality encoding lengths. Titles and tag lists are short; comment
-# streams and transcripts need more room. Truncation keeps the prefix.
+# Maximum per-modality lengths in tokens; a longer text keeps its prefix. Titles
+# and tag lists are short; comment streams and transcripts need more room.
 MAX_LEN = {
     "title": 16,
     "tags": 32,
@@ -95,23 +99,11 @@ def build_vocab(corpus_texts, max_size: int = DEFAULT_VOCAB_SIZE,
     return Vocabulary(index=index, max_size=max_size, min_freq=min_freq)
 
 
-@dataclass(frozen=True)
-class TokenSequence:
-    """Fixed-length id sequence; positions >= true_length hold PAD."""
-
-    ids: tuple[int, ...]
-    true_length: int
-
-
-def encode(tokens, vocab: Vocabulary, max_len: int) -> TokenSequence:
-    """Map tokens to ids (unknown -> UNK), truncate to the first max_len, and
-    pad the tail with PAD."""
+def encode(tokens, vocab: Vocabulary, max_len: int) -> np.ndarray:
+    """The int64 ids (unknown -> UNK) of the first max_len tokens."""
     if max_len < 1:
         raise ValueError(f"max_len must be >= 1, got {max_len}")
-    tokens = list(tokens)
-    kept = tokens[:max_len]
-    ids = [vocab.id_of(t) for t in kept] + [PAD_ID] * (max_len - len(kept))
-    return TokenSequence(ids=tuple(ids), true_length=len(kept))
+    return np.array([vocab.id_of(t) for t in islice(tokens, max_len)], dtype=np.int64)
 
 
 def modality_text(record, modality: str) -> str:
@@ -128,7 +120,7 @@ def modality_text(record, modality: str) -> str:
     raise ValueError(f"{modality!r} is not a text modality")
 
 
-def encode_modality(record, modality: str, vocab: Vocabulary) -> TokenSequence:
+def encode_modality(record, modality: str, vocab: Vocabulary) -> np.ndarray:
     return encode(tokenize(modality_text(record, modality)), vocab, MAX_LEN[modality])
 
 

@@ -79,6 +79,13 @@ class TrainConfig:
     def to_echo(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "encoder"}
 
+    def check_init(self, n_inits: int) -> None:
+        """head_only and finetune start from pretrained weights; scratch must not."""
+        if self.regime in ("head_only", "finetune") and not n_inits:
+            raise TrainingError(f"regime {self.regime!r} needs pretrained init weights")
+        if self.regime == "scratch" and n_inits:
+            raise TrainingError("scratch regime must not receive init weights")
+
 
 @dataclass
 class TrainReport:
@@ -179,10 +186,7 @@ def train(records, split: DatasetSplit, config: TrainConfig,
     """
     t_start = time.perf_counter()
     inits = [init] if isinstance(init, BaitRadarModel) else list(init or [])
-    if config.regime in ("head_only", "finetune") and not inits:
-        raise TrainingError(f"regime {config.regime!r} needs pretrained init weights")
-    if config.regime == "scratch" and inits:
-        raise TrainingError("scratch regime must not receive init weights")
+    config.check_init(len(inits))
 
     if not split.train:
         raise TrainingError("empty training split")

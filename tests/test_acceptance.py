@@ -167,8 +167,8 @@ def test_c03_single_modality_degeneracy(degeneracy_model):
     for m in MODALITIES:
         pred = model.predict(record, subset=ModalityMask.from_names([m]))
         if m in ("title", "comments", "audio_transcript", "tags"):
-            ids, length = feats[m]
-            vec, _ = encoders.encode_text_forward(m, ids[None], np.array([length]), model.params)
+            ids = feats[m]
+            vec, _ = encoders.encode_text_forward(m, ids[None], np.array([len(ids)]), model.params)
         elif m == "thumbnail":
             px = feats[m][None].astype(np.float64) / 255.0
             vec, _ = encoders.encode_thumbnail_forward(px, model.params, model.config)

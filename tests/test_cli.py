@@ -262,6 +262,16 @@ def test_invalid_training_flag_exits_1_with_one_line(workdir, tmp_path, capsys, 
     (["sweep", "--out-dir", "d", "--seed", "1", "--modalities", ""], "no modality named"),
     (["eval", "--model", "MISSING", "--modalities", ""], "--modalities: no modality named"),
     (["predict", "--model", "MISSING", "--modalities", ""], "--modalities: no modality named"),
+    # --in is appended below, and a record flag with --in is refused
+    (["predict", "--model", "MISSING", "--title", "x", "--views", "5", "--likes", "-3"],
+     "--title describes one record and cannot be combined with --in"),
+    (["predict", "--model", "MISSING", "--likes", "5"], "--likes describes one record"),
+    (["predict", "--model", "MISSING", "--id", "r1"], "--id describes one record"),
+    (["predict", "--model", "MISSING", "--channel-id", ""], "--channel-id describes one record"),
+    (["predict", "--model", "MISSING", "--comment", "c"], "--comment describes one record"),
+    (["train", "--out", "m", "--init", "m.ckpt"], "scratch regime must not receive init weights"),
+    (["train", "--out", "m", "--regime", "head_only"], "'head_only' needs pretrained init weights"),
+    (["train", "--out", "m", "--regime", "finetune"], "'finetune' needs pretrained init weights"),
 ])
 def test_bad_flag_value_exits_1_with_one_line_before_reading_data(tmp_path, capsys, monkeypatch,
                                                                    argv, named):

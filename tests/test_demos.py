@@ -1,6 +1,7 @@
 """The demos are too slow to run here (minutes in all), so each one is only
 parsed, and every name it imports from baitradar must resolve. A renamed or
-removed API then fails this test instead of the demo."""
+removed API then fails this test instead of the demo. So does a name that
+``baitradar.__all__`` exports but the package lacks."""
 
 import ast
 import importlib
@@ -27,3 +28,9 @@ def test_demo_imports_resolve(path):
             module = importlib.import_module(node.module)
             missing = [a.name for a in node.names if not hasattr(module, a.name)]
             assert not missing, f"{path.name}:{node.lineno}: {node.module} has no {missing}"
+
+
+def test_package_exports_resolve():
+    package = importlib.import_module("baitradar")
+    missing = [name for name in package.__all__ if not hasattr(package, name)]
+    assert not missing, f"baitradar.__all__ names {missing}, which the package lacks"

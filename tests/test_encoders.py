@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from baitradar import nncore
-from baitradar.corpus import StatsFeatures, ThumbnailImage
+from baitradar.corpus import StatsFeatures, ThumbnailImage, VideoRecord
 from baitradar.encoders import (
+    ENCODERS,
     EncoderConfig,
     NormalizationError,
     StatsNormalizer,
@@ -16,6 +17,9 @@ from baitradar.encoders import (
     init_thumbnail_params,
     prepare_thumbnail,
 )
+from baitradar.modalities import TEXT_MODALITIES
+from baitradar.model import featurize_record
+from baitradar.textpipe import MAX_LEN, build_vocab, modality_text, tokenize
 
 CFG = EncoderConfig(fusion_dim=6, embed_dim=4, conv_channels=(2, 3), conv_kernel=3,
                     pool_size=2, thumb_size=16, stats_hidden=5, head_hidden=4)
@@ -72,6 +76,58 @@ def test_text_encoder_rejects_out_of_vocab_id():
     params = params_of(init_text_params("title", 4, CFG, np.random.default_rng(4)))
     with pytest.raises(nncore.ShapeError):
         encode_text_forward("title", np.array([[7]]), np.array([1]), params)
+
+
+def test_text_payload_is_the_kept_token_ids():
+    vocab = build_vocab(["you won t believe this diy hack w0 w1 w2 w3"], max_size=50, min_freq=1)
+    long_transcript = " ".join(f"w{i % 9}" for i in range(300))  # w4..w8 are unknown
+    records = [
+        VideoRecord(id="a", channel_id="c", title="You WON'T believe this!",
+                    tags=["diy", "hack", "zebra"], comments=[f"w{i} hack" for i in range(30)],
+                    transcript=long_transcript),
+        VideoRecord(id="b", channel_id="c", title="!!! ???", tags=[], comments=[],
+                    transcript="this"),
+    ]
+    inputs = [featurize_record(rec, vocab, StatsNormalizer(), CFG).inputs for rec in records]
+    for rec, payloads in zip(records, inputs):
+        for m in TEXT_MODALITIES:
+            expected = [vocab.id_of(t) for t in tokenize(modality_text(rec, m))[:MAX_LEN[m]]]
+            assert payloads[m].dtype == np.int64, m
+            assert payloads[m].tolist() == expected, (rec.id, m)
+    assert len(inputs[0]["audio_transcript"]) == MAX_LEN["audio_transcript"]
+    assert inputs[1]["title"].shape == (0,)
+
+
+def text_payloads(lengths, seed=6):
+    rng = np.random.default_rng(seed)
+    return [rng.integers(1, 12, size=n).astype(np.int64) for n in lengths]
+
+
+def test_text_batch_rows_equal_each_row_run_alone():
+    params = params_of(init_text_params("comments", 12, CFG, np.random.default_rng(7)))
+    payloads = text_payloads([5, 0, 2, 9])
+    h, _ = ENCODERS["comments"].forward("comments", payloads, params, CFG)
+    assert h.shape == (4, CFG.fusion_dim)
+    for row, ids in zip(h, payloads):
+        alone, _ = encode_text_forward("comments", ids[None], np.array([len(ids)]), params)
+        assert np.abs(row - alone[0]).max() <= 1e-12
+    np.testing.assert_array_equal(h[1], np.zeros(CFG.fusion_dim))
+    h, _ = ENCODERS["comments"].forward("comments", text_payloads([0, 0, 0]), params, CFG)
+    np.testing.assert_array_equal(h, np.zeros((3, CFG.fusion_dim)))
+
+
+def test_text_batch_is_padded_to_its_longest_row(monkeypatch):
+    params = params_of(init_text_params("comments", 12, CFG, np.random.default_rng(9)))
+    widths = []
+    real = nncore.embedding_forward
+
+    def spy(ids, table):
+        widths.append(np.shape(ids)[1])
+        return real(ids, table)
+
+    monkeypatch.setattr(nncore, "embedding_forward", spy)
+    ENCODERS["comments"].forward("comments", text_payloads([5, 0, 2, 9]), params, CFG)
+    assert widths == [9]
 
 
 # ---------------------------------------------------------------------------

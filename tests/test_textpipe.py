@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -72,24 +73,22 @@ def test_build_vocab_order_free(texts, rnd):
     assert build_vocab(texts, 50, 1).index == build_vocab(shuffled, 50, 1).index
 
 
-def test_encode_pads_and_reports_true_length():
+def test_encode_returns_the_kept_ids_unpadded():
     vocab = build_vocab(["mind blown"], max_size=10, min_freq=1)
-    seq = encode(["mind", "blown"], vocab, max_len=4)
-    assert seq.ids == (vocab.index["mind"], vocab.index["blown"], PAD_ID, PAD_ID)
-    assert seq.true_length == 2
+    ids = encode(["mind", "blown"], vocab, max_len=4)
+    assert ids.dtype == np.int64
+    assert ids.tolist() == [vocab.index["mind"], vocab.index["blown"]]
 
 
 def test_encode_unknown_maps_to_unk():
     vocab = build_vocab(["mind blown"], max_size=10, min_freq=1)
-    seq = encode(["zebra"], vocab, max_len=2)
-    assert seq.ids[0] == UNK_ID
+    assert encode(["zebra"], vocab, max_len=2).tolist() == [UNK_ID]
 
 
 def test_encode_truncates_prefix():
     vocab = build_vocab(["a b c d e f g h i j"], max_size=20, min_freq=1)
-    seq = encode(list("abcdefghij"), vocab, max_len=4)
-    assert seq.true_length == 4
-    assert seq.ids == tuple(vocab.index[t] for t in "abcd")
+    ids = encode(list("abcdefghij"), vocab, max_len=4)
+    assert ids.tolist() == [vocab.index[t] for t in "abcd"]
 
 
 def test_encode_requires_positive_max_len():
@@ -102,8 +101,9 @@ def test_encode_requires_positive_max_len():
 @given(st.lists(st.sampled_from(["a", "b", "zzz", "7"]), max_size=20))
 def test_encode_never_exceeds_vocab_size(tokens):
     vocab = build_vocab(["a a b b"], max_size=4, min_freq=1)
-    seq = encode(tokens, vocab, max_len=8)
-    assert all(0 <= i < len(vocab) for i in seq.ids)
+    ids = encode(tokens, vocab, max_len=8)
+    assert len(ids) == min(len(tokens), 8)
+    assert all(0 <= i < len(vocab) for i in ids)
 
 
 def test_vocab_text_round_trip():
