@@ -145,10 +145,16 @@ def lstm_forward(x, wx, wh, b, lengths):
     zero-length row yields a zero vector.
 
     Rows are stable-sorted by length, longest first, so the rows live at step
-    t are the prefix [:n_live[t]] and each step computes only those. Work is
-    time-major over the longest length only: the input GEMM fills
-    ``act[steps,B,4H]``, and each step activates its gates in place there, so
-    the cache keeps activations, not pre-activations.
+    t are a prefix of n_live[t] rows. Every time-major array is packed: step
+    t's live rows form one contiguous block, the blocks follow each other in
+    step order, and nothing is held for a step past a row's length, so the
+    arrays hold sum(lengths) rows, not steps x B. The input GEMM fills
+    ``act[sum(lengths), 4H]`` and each step activates its gates in place
+    there, so the cache keeps activations, not pre-activations. The state
+    histories ``hs`` and ``cs`` lead with a block of B zero rows, the state
+    entering step 0. The state entering step t is then the first n_live[t]
+    rows of step t-1's block, and a row's final state sits at its sorted
+    position in its last step's block (in the zero block for length 0).
     """
     x, wx, wh, b = as_f64(x), as_f64(wx), as_f64(wh), as_f64(b)
     lengths = np.asarray(lengths, dtype=np.int64)
@@ -161,38 +167,46 @@ def lstm_forward(x, wx, wh, b, lengths):
     if wh.shape != (hidden, four_h) or b.shape != (four_h,):
         raise ShapeError(f"lstm: wh{wh.shape} b{b.shape} do not match hidden size {hidden}")
     batch, max_len, in_dim = x.shape
-    if lengths.shape != (batch,) or (lengths > max_len).any() or (lengths < 0).any():
+    if lengths.shape != (batch,):
         raise ShapeError("lstm: lengths must be in [0, L] with one entry per row")
-
     order = np.argsort(-lengths, kind="stable")
     sorted_len = lengths[order]
     steps = int(sorted_len[0]) if batch else 0
-    # n_live[t] = number of rows whose length exceeds t
-    n_live = np.searchsorted(-sorted_len, -np.arange(steps), side="left")
-    # the input of the live steps, time-major and length-sorted: row t*B + k
-    # of xt is x[order[k], t], gathered from the flattened [B*L, E] input
-    rows = (order * max_len + np.arange(steps)[:, None]).reshape(-1)
+    if steps > max_len or (batch and sorted_len[-1] < 0):
+        raise ShapeError("lstm: lengths must be in [0, L] with one entry per row")
+
+    # block t of the packed state holds sizes[t] rows: the B zero rows that
+    # enter step 0 (t = 0), else step t-1's live rows, the rows whose length
+    # exceeds t-1. start[t] is where block t begins
+    t_minus_1 = np.arange(-1, steps)
+    sizes = np.searchsorted(-sorted_len, -t_minus_1, side="left")
+    start = np.cumsum(sizes) - sizes
+    # packed input row start[t + 1] - B + k is x[order[k], t]: the live cells
+    # of the time-major [steps, B] grid in order, taken as whole rows of the
+    # flattened [B*L, E] input
+    step = t_minus_1[1:, None]
+    rows = (order * max_len + step)[step < sorted_len]
     xt = x.reshape(batch * max_len, in_dim)[rows]
     # a sigmoid gate is 0.5 * (1 + tanh(z / 2)). Halving the sigmoid gates'
     # weights and bias up front is exact in floating point, and lets one tanh
     # call per step activate all four gates
     scale = np.full(four_h, 0.5)
     scale[3 * hidden :] = 1.0
-    act = (xt @ (wx * scale)).reshape(steps, batch, four_h)
+    act = xt @ (wx * scale)
     act += b * scale
     wh_scaled = wh * scale
 
-    # histories: hs[t] / cs[t] is the state entering step t. hs and tanh_cs
-    # start at zero because the backward reads them in bulk, past each row's
-    # length too, and multiplies those entries by zero gradients
-    hs = np.zeros((steps + 1, batch, hidden))
-    cs = np.empty((steps + 1, batch, hidden))
-    cs[0] = 0.0
-    tanh_cs = np.zeros((steps, batch, hidden))
-    for t in range(steps):
-        n = n_live[t]
-        z = act[t, :n]
-        z += hs[t, :n] @ wh_scaled
+    hs = np.zeros((batch + len(rows), hidden))
+    cs = np.zeros((batch + len(rows), hidden))
+    tanh_cs = np.empty((len(rows), hidden))
+    bounds = start.tolist()
+    for t, n in enumerate(sizes[1:].tolist()):
+        # step t reads block t and writes block t+1; act and tanh_cs have no
+        # zero block, so their rows sit B earlier
+        s, out = bounds[t], bounds[t + 1]
+        p = out - batch
+        z = act[p : p + n]
+        z += hs[s : s + n] @ wh_scaled
         np.tanh(z, out=z)
         sig = z[:, : 3 * hidden]
         sig += 1.0
@@ -201,13 +215,13 @@ def lstm_forward(x, wx, wh, b, lengths):
         f = z[:, hidden : 2 * hidden]
         o = z[:, 2 * hidden : 3 * hidden]
         g = z[:, 3 * hidden :]
-        c = np.multiply(f, cs[t, :n], out=cs[t + 1, :n])
+        c = np.multiply(f, cs[s : s + n], out=cs[out : out + n])
         c += i * g
-        tanh_c = np.tanh(c, out=tanh_cs[t, :n])
-        np.multiply(o, tanh_c, out=hs[t + 1, :n])
+        tanh_c = np.tanh(c, out=tanh_cs[p : p + n])
+        np.multiply(o, tanh_c, out=hs[out : out + n])
     h = np.empty((batch, hidden))
-    h[order] = hs[sorted_len, np.arange(batch)]
-    cache = (x.shape, xt, wx, wh, order, rows, n_live, act, cs, tanh_cs, hs)
+    h[order] = np.take(hs, start[sorted_len] + np.arange(batch), axis=0)
+    cache = (x.shape, xt, wx, wh, order, rows, sizes, start, act, cs, tanh_cs, hs)
     return h, cache
 
 
@@ -216,52 +230,54 @@ def lstm_backward(d_h, cache):
 
     The loop runs over the same live prefixes as the forward. A row's
     gradient enters at its last step and rows past their length are never
-    touched, so nothing is masked. Each step's gate gradient is stored
-    time-major, and the weight, bias and input gradients are each one GEMM
-    or sum over all steps after the loop.
+    touched, so nothing is masked. Each step's gate gradient is stored in the
+    forward's packed layout, and the weight, bias and input gradients are
+    each one GEMM or sum over the packed rows after the loop.
     """
-    x_shape, xt, wx, wh, order, rows, n_live, act, cs, tanh_cs, hs = cache
-    steps, batch, four_h = act.shape
-    hidden = four_h // 4
-    in_dim = x_shape[2]
+    x_shape, xt, wx, wh, order, rows, sizes, start, act, cs, tanh_cs, hs = cache
+    batch, max_len, in_dim = x_shape
+    hidden = wh.shape[0]
     d_h = as_f64(d_h)[order]
     d_c = np.zeros_like(d_h)
-    # the activation derivatives of all steps at once: dz_all starts as
+    # the activation derivatives of all packed rows at once: dz_all starts as
     # 1 - s for the sigmoid gates and 1 - g^2 for g, and each step multiplies
-    # its live rows by the rest of their gate gradient
+    # its rows by the rest of their gate gradient
     dz_all = np.empty_like(act)
-    np.subtract(1.0, act[..., : 3 * hidden], out=dz_all[..., : 3 * hidden])
-    g_part = np.square(act[..., 3 * hidden :], out=dz_all[..., 3 * hidden :])
+    np.subtract(1.0, act[:, : 3 * hidden], out=dz_all[:, : 3 * hidden])
+    g_part = np.square(act[:, 3 * hidden :], out=dz_all[:, 3 * hidden :])
     np.subtract(1.0, g_part, out=g_part)
     d_tanh_c = 1.0 - tanh_cs**2
-    d_act = np.empty((batch, four_h))
-    for t in reversed(range(steps)):
-        n = n_live[t]
-        z = act[t, :n]
+    d_act = np.empty((batch, 4 * hidden))
+    bounds = start.tolist()
+    live = sizes[1:].tolist()
+    for t in reversed(range(len(live))):
+        n, s, p = live[t], bounds[t], bounds[t + 1] - batch
+        z = act[p : p + n]
         i = z[:, :hidden]
         f = z[:, hidden : 2 * hidden]
         o = z[:, 2 * hidden : 3 * hidden]
         dh_t = d_h[:n]
         dc_t = d_c[:n]
-        dc_t += dh_t * o * d_tanh_c[t, :n]
+        dc_t += dh_t * o * d_tanh_c[p : p + n]
         # gradients wrt the activations (i, f, o, g), then through them
         da = d_act[:n]
         np.multiply(dc_t, z[:, 3 * hidden :], out=da[:, :hidden])
-        np.multiply(dc_t, cs[t, :n], out=da[:, hidden : 2 * hidden])
-        np.multiply(dh_t, tanh_cs[t, :n], out=da[:, 2 * hidden : 3 * hidden])
+        np.multiply(dc_t, cs[s : s + n], out=da[:, hidden : 2 * hidden])
+        np.multiply(dh_t, tanh_cs[p : p + n], out=da[:, 2 * hidden : 3 * hidden])
         np.multiply(dc_t, i, out=da[:, 3 * hidden :])
         da[:, : 3 * hidden] *= z[:, : 3 * hidden]
-        dz = dz_all[t, :n]
+        dz = dz_all[p : p + n]
         dz *= da
-        dz_all[t, n:] = 0.0
         np.matmul(dz, wh.T, out=dh_t)
         dc_t *= f
-    dz_flat = dz_all.reshape(steps * batch, four_h)
-    d_b = dz_flat.sum(axis=0)
-    d_wh = hs[:steps].reshape(steps * batch, hidden).T @ dz_flat
-    d_wx = xt.T @ dz_flat
-    dx = np.zeros((x_shape[0] * x_shape[1], in_dim))
-    dx[rows] = dz_flat @ wx.T
+    d_b = dz_all.sum(axis=0)
+    # packed row p of step t entered it with the state at p + B - sizes[t],
+    # offset k of block t
+    h_in = hs[np.arange(len(rows)) + np.repeat(batch - sizes[:-1], sizes[1:])]
+    d_wh = h_in.T @ dz_all
+    d_wx = xt.T @ dz_all
+    dx = np.zeros((batch * max_len, in_dim))
+    dx[rows] = dz_all @ wx.T
     dx = dx.reshape(x_shape)
     return dx, d_wx, d_wh, d_b
 
@@ -463,13 +479,25 @@ def adam_step(params, lr: float = 1e-3, beta1: float = 0.9, beta2: float = 0.999
     accumulated .grad. ``t`` is the 1-based step count."""
     if t < 1:
         raise ValueError(f"adam step count must be >= 1, got {t}")
+    # moments and value change in place, with each expression rounded as in
+    # m = beta1*m + (1-beta1)*g, v = beta2*v + ((1-beta2)*g)*g and
+    # value -= (lr * (m / (1-beta1^t))) / (sqrt(v / (1-beta2^t)) + eps)
     for p in params:
         g = p.grad
-        p.m = beta1 * p.m + (1.0 - beta1) * g
-        p.v = beta2 * p.v + (1.0 - beta2) * g * g
-        m_hat = p.m / (1.0 - beta1**t)
-        v_hat = p.v / (1.0 - beta2**t)
-        p.value -= lr * m_hat / (np.sqrt(v_hat) + eps)
+        step = np.multiply(g, 1.0 - beta1)
+        p.m *= beta1
+        p.m += step
+        denom = np.multiply(g, 1.0 - beta2)
+        denom *= g
+        p.v *= beta2
+        p.v += denom
+        np.divide(p.v, 1.0 - beta2**t, out=denom)
+        np.sqrt(denom, out=denom)
+        denom += eps
+        np.divide(p.m, 1.0 - beta1**t, out=step)
+        step *= lr
+        step /= denom
+        p.value -= step
 
 
 # ---------------------------------------------------------------------------

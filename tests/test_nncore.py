@@ -216,6 +216,77 @@ def test_lstm_rows_match_each_row_run_alone():
     np.testing.assert_array_equal(h[1], np.zeros(4))
 
 
+def test_lstm_backward_rows_match_each_row_run_alone():
+    """The backward twin of the test above: each row's input gradient equals
+    that row's run alone, padding gets exactly zero, and the weight and
+    bias gradients are the sums over the rows run alone."""
+    rng = np.random.default_rng(7)
+    wx, wh, b = rng.normal(size=(3, 16)), rng.normal(size=(4, 16)), rng.normal(size=16)
+    lengths = np.array([3, 0, 7, 3, 1, 7, 5])
+    x = rng.normal(size=(lengths.size, 9, 3))
+    d_h = rng.normal(size=(lengths.size, 4))
+    _, cache = lstm_forward(x, wx, wh, b, lengths)
+    dx, *d_weights = nncore.lstm_backward(d_h, cache)
+    summed = [np.zeros_like(w) for w in (wx, wh, b)]
+    for r, n in enumerate(lengths):
+        _, alone = lstm_forward(x[r : r + 1, :n], wx, wh, b, np.array([n]))
+        dx_alone, *d_alone = nncore.lstm_backward(d_h[r : r + 1], alone)
+        np.testing.assert_allclose(dx[r, :n], dx_alone[0], atol=1e-12, rtol=0)
+        assert (dx[r, n:] == 0.0).all()
+        for total, d in zip(summed, d_alone):
+            total += d
+    for d, total in zip(d_weights, summed):
+        np.testing.assert_allclose(d, total, atol=1e-12, rtol=0)
+
+
+def test_lstm_batch_of_zero_length_rows():
+    """A batch of tokenless rows runs no step: zero states and zero weight
+    gradients, and an input gradient of the input's shape."""
+    rng = np.random.default_rng(8)
+    wx, wh, b = rng.normal(size=(3, 16)), rng.normal(size=(4, 16)), rng.normal(size=16)
+    h, cache = lstm_forward(np.zeros((3, 0, 3)), wx, wh, b, np.array([0, 0, 0]))
+    np.testing.assert_array_equal(h, np.zeros((3, 4)))
+    dx, d_wx, d_wh, d_b = nncore.lstm_backward(rng.normal(size=(3, 4)), cache)
+    assert dx.shape == (3, 0, 3)
+    np.testing.assert_array_equal(d_wx, np.zeros_like(wx))
+    np.testing.assert_array_equal(d_wh, np.zeros_like(wh))
+    np.testing.assert_array_equal(d_b, np.zeros_like(b))
+
+
+def test_lstm_directional_derivatives_at_training_shapes():
+    """g.v against a central difference along one seeded unit direction per
+    input, at the shapes training runs: 32 rows of up to 110 steps, E = 32,
+    H = 64, the forget-gate bias at 1, and one row each of length 0 and 110."""
+    rng = np.random.default_rng(9)
+    batch, max_len, in_dim, hidden = 32, 110, 32, 64
+    lengths = np.clip(np.rint(rng.normal(60, 20, size=batch)), 1, max_len).astype(np.int64)
+    lengths[:2] = 0, max_len
+    b = np.zeros(4 * hidden)
+    b[hidden : 2 * hidden] = 1.0
+    inputs = {
+        "x": rng.normal(size=(batch, max_len, in_dim)) * 0.5,
+        "wx": nncore.glorot_uniform(rng, (in_dim, 4 * hidden), in_dim, 4 * hidden),
+        "wh": nncore.glorot_uniform(rng, (hidden, 4 * hidden), hidden, 4 * hidden),
+        "b": b,
+    }
+    proj = rng.normal(size=(batch, hidden))
+
+    def loss(values):
+        h, _ = lstm_forward(*values.values(), lengths)
+        return float((h * proj).sum())
+
+    _, cache = lstm_forward(*inputs.values(), lengths)
+    grads = dict(zip(("x", "wx", "wh", "b"), nncore.lstm_backward(proj, cache)))
+    step = 1e-5
+    for name, value in inputs.items():
+        v = rng.normal(size=value.shape)
+        v /= np.linalg.norm(v)
+        analytic = float((grads[name] * v).sum())
+        numeric = (loss({**inputs, name: value + step * v})
+                   - loss({**inputs, name: value - step * v})) / (2 * step)
+        assert abs(analytic - numeric) <= 1e-7 * max(abs(analytic), abs(numeric)), name
+
+
 @pytest.mark.parametrize("lengths", [[4, 2], [2, 4, 0, 3]], ids=["sorted", "unsorted"])
 def test_lstm_gradients_match_finite_differences(lengths):
     rng = np.random.default_rng(5)
@@ -587,6 +658,39 @@ def test_adam_lr_zero_bitwise_identical():
         p.grad = rng.normal(size=(4, 4))
         adam_step([p], lr=0.0, t=t)
     assert p.value.tobytes() == before
+
+
+def test_adam_matches_its_expressions_bit_for_bit_in_place():
+    """Three steps from random moments against the update written as
+    expressions: value, m and v keep every bit, and the moments are updated
+    in their own arrays. lr is not a power of two, so reordering the step's
+    multiply and divide would change bits."""
+    rng = np.random.default_rng(15)
+    shapes = [(8, 16), (33,), (4, 5, 6)]
+    params = [Parameter(f"p{k}", rng.normal(size=s)) for k, s in enumerate(shapes)]
+    for p in params:
+        p.m[...] = rng.normal(size=p.m.shape)
+        p.v[...] = rng.uniform(size=p.v.shape)
+    moments = [(p.m, p.v) for p in params]
+    oracle = [(p.value.copy(), p.m.copy(), p.v.copy()) for p in params]
+    lr, b1, b2, eps = 0.3, 0.9, 0.999, 1e-8
+    for t in range(1, 4):
+        for p in params:
+            p.grad = rng.normal(size=p.value.shape)
+        adam_step(params, lr=lr, beta1=b1, beta2=b2, eps=eps, t=t)
+        for k, p in enumerate(params):
+            value, m, v = oracle[k]
+            g = p.grad
+            m = b1 * m + (1.0 - b1) * g
+            v = b2 * v + (1.0 - b2) * g * g
+            m_hat = m / (1.0 - b1**t)
+            v_hat = v / (1.0 - b2**t)
+            value = value - lr * m_hat / (np.sqrt(v_hat) + eps)
+            oracle[k] = value, m, v
+            np.testing.assert_array_equal(p.value, value)
+            np.testing.assert_array_equal(p.m, m)
+            np.testing.assert_array_equal(p.v, v)
+            assert p.m is moments[k][0] and p.v is moments[k][1]
 
 
 def test_adam_rejects_zero_step_count():
