@@ -80,18 +80,16 @@ def check_lstm(seed: int = 103) -> GradCheckReport:
 
 
 def check_conv_pool_relu(seed: int = 104) -> GradCheckReport:
-    """conv -> max-pool -> relu, the thumbnail encoder's order."""
+    """conv with max-pool -> relu, as the thumbnail encoder runs it."""
     rng = np.random.default_rng(seed)
     params = [_param(rng, "x", (2, 2, 6, 6)), _param(rng, "kernels", (3, 2, 3, 3)),
               _param(rng, "bias", (3,))]
 
     def run(weights):
-        c, c_cache = nncore.conv2d_forward(*(p.value for p in params))
-        p, p_cache = nncore.max_pool2d_forward(c, 2)
+        p, p_cache = nncore.conv2d_forward(*(p.value for p in params), pool=2)
         r, r_cache = nncore.relu_forward(p)
         d_p = nncore.relu_backward(weights, r_cache)
-        d_c = nncore.max_pool2d_backward(d_p, p_cache)
-        _add_grads(params, nncore.conv2d_backward(d_c, c_cache))
+        _add_grads(params, nncore.conv2d_backward(d_p, p_cache))
         return r
 
     return _probe(params, rng.normal(size=(2, 3, 2, 2)), run)

@@ -170,24 +170,29 @@ def encode_text_backward(d_h, cache, params):
     params[f"{modality}.lstm.wx"].grad += d_wx
     params[f"{modality}.lstm.wh"].grad += d_wh
     params[f"{modality}.lstm.b"].grad += d_b
-    params[f"{modality}.embedding.table"].grad += nncore.embedding_backward(d_emb, ids, vocab_size)
+    # padding cells hold PAD's id and an exactly zero gradient, so only the
+    # live cells are scattered
+    live = ids != textpipe.PAD_ID
+    params[f"{modality}.embedding.table"].grad += nncore.embedding_backward(
+        d_emb[live], ids[live], vocab_size)
 
 
 def encode_thumbnail_forward(pixels, params, cfg: EncoderConfig):
     """pixels[B,3,S,S] scaled to [0,1] -> conv/pool/relu x2 -> dense to d.
 
-    Max-pooling before ReLU gives exactly relu(conv) pooled, as both are
-    monotone, and ReLU then runs on the pooled quarter of the tensor."""
+    Each conv max-pools its output itself, image by image. Max-pooling before
+    ReLU gives exactly relu(conv) pooled, as both are monotone, and ReLU then
+    runs on the pooled quarter of the tensor."""
     x = nncore.as_f64(pixels)
     if x.ndim != 4 or x.shape[1] != 3:
         raise nncore.ShapeError(f"thumbnail encoder expects [B,3,S,S], got {x.shape}")
     conv_caches = []
     for conv in _THUMBNAIL_CONVS:
         x, conv_cache = nncore.conv2d_forward(
-            x, params[f"{conv}.kernels"].value, params[f"{conv}.bias"].value)
-        x, pool_cache = nncore.max_pool2d_forward(x, cfg.pool_size)
+            x, params[f"{conv}.kernels"].value, params[f"{conv}.bias"].value,
+            pool=cfg.pool_size)
         x, relu_cache = nncore.relu_forward(x)
-        conv_caches.append((conv, conv_cache, pool_cache, relu_cache))
+        conv_caches.append((conv, conv_cache, relu_cache))
     out, dense_cache = nncore.dense_stack_forward(
         x.reshape(x.shape[0], -1), params, _THUMBNAIL_DENSE)
     return out, (conv_caches, x.shape, dense_cache)
@@ -197,9 +202,8 @@ def encode_thumbnail_backward(d_out, cache, params):
     conv_caches, pooled_shape, dense_cache = cache
     d_x = nncore.dense_stack_backward(d_out, dense_cache, params).reshape(pooled_shape)
     for k in reversed(range(len(conv_caches))):
-        conv, conv_cache, pool_cache, relu_cache = conv_caches[k]
+        conv, conv_cache, relu_cache = conv_caches[k]
         d_x = nncore.relu_backward(d_x, relu_cache)
-        d_x = nncore.max_pool2d_backward(d_x, pool_cache)
         # the first layer's input is raw pixels, so it needs no input grad
         d_x, d_kernels, d_bias = nncore.conv2d_backward(d_x, conv_cache, need_dx=k > 0)
         params[f"{conv}.kernels"].grad += d_kernels

@@ -311,12 +311,15 @@ def _lowered_images(x, kh: int, kw: int, span: int):
         yield [x_low[:, :, a * width : a * width + span].reshape(-1, span) for a in range(kh)]
 
 
-def conv2d_forward(x, kernels, bias, stride: int = 1):
-    """Valid cross-correlation: x[B,C,H,W] * kernels[K,C,kh,kw] + bias[K].
+def conv2d_forward(x, kernels, bias, stride: int = 1, pool: int = 1):
+    """Valid cross-correlation: x[B,C,H,W] * kernels[K,C,kh,kw] + bias[K],
+    max-pooled over pool x pool windows at stride pool when pool > 1.
 
     Per image, the kh GEMMs k_rows[a] @ rows[a] on its ``_lowered_images``
     sum kernel row by kernel row into a flat [K, H*W] grid, read at the window
-    origins. The cache keeps x.
+    origins. A pooled image is pooled from one reused [K, oh, ow] buffer while
+    it is in cache, so no [B, K, oh, ow] conv output is made. The cache keeps
+    x and, when pooled, each window's winning offset.
     """
     x, kernels, bias = as_f64(x), as_f64(kernels), as_f64(bias)
     if x.ndim != 4 or kernels.ndim != 4 or x.shape[1] != kernels.shape[1]:
@@ -331,47 +334,64 @@ def conv2d_forward(x, kernels, bias, stride: int = 1):
         raise ShapeError(f"conv2d: stride must be >= 1, got {stride}")
     out_h = (height - kh) // stride + 1
     out_w = (width - kw) // stride + 1
+    if not 1 <= pool <= min(out_h, out_w):
+        raise ShapeError(f"conv2d: pool must be in [1, {min(out_h, out_w)}] for a "
+                         f"{out_h}x{out_w} output, got {pool}")
 
     span = ((out_h - 1) * width + out_w - 1) * stride + 1
     k_rows = kernels.transpose(2, 0, 1, 3).reshape(kh, n_k, chans * kw)
     grid = np.empty((n_k, height * width))
     origins = _offset_view(grid.reshape(n_k, height, width), 0, 0, stride, out_h, out_w)
-    out = np.empty((batch, n_k, out_h, out_w))
+    bias = bias[:, None, None]
+    out = np.empty((batch, n_k, out_h // pool, out_w // pool))
+    arg = _pool_arg(out.shape, pool) if pool > 1 else None
+    conv = np.empty(origins.shape) if pool > 1 else None
     for img, rows in enumerate(_lowered_images(x, kh, kw, span)):
         acc = np.matmul(k_rows[0], rows[0], out=grid[:, :span])
         for a in range(1, kh):
             acc += k_rows[a] @ rows[a]
-        out[img] = origins
-    out += bias[:, None, None]
-    cache = (x, kernels, stride, (out_h, out_w))
+        if pool > 1:
+            np.add(origins, bias, out=conv)
+            _pool_into(conv, pool, pool, out[img], arg[img])
+        else:
+            np.add(origins, bias, out=out[img])
+    cache = (x, kernels, stride, (out_h, out_w), pool, arg)
     return out, cache
 
 
 def conv2d_backward(d_out, cache, need_dx: bool = True):
     """Gradients for conv2d_forward, one image at a time on its lowering.
 
-    With d_out spread onto a flat [K, H*W] grid at the window origins (d_grid,
-    zero elsewhere), d_kernels[:, :, a] gathers d_grid @ rows[a].T, and dx[c]
-    gathers kernels[:, c, a, b] . d_grid shifted the other way: kh GEMMs each.
+    d_out is spread onto a flat [K, H*W] grid at the window origins (d_grid,
+    zero elsewhere; a pooled d_out goes to each pooling window's winning
+    origin only). d_bias sums that origin view, d_kernels[:, :, a] gathers
+    d_grid @ rows[a].T, and dx[c] gathers kernels[:, c, a, b] . d_grid
+    shifted the other way: kh GEMMs each.
 
     Pass need_dx=False for a first layer whose input (raw pixels) is not
     trainable, to skip the input gradient.
     """
-    x, kernels, stride, (out_h, out_w) = cache
+    x, kernels, stride, (out_h, out_w), pool, arg = cache
     batch, chans, height, width = x.shape
     n_k, _, kh, kw = kernels.shape
     d_out = as_f64(d_out)
-    d_bias = d_out.transpose(1, 0, 2, 3).reshape(n_k, -1).sum(axis=1)
     span = ((out_h - 1) * width + out_w - 1) * stride + 1
     d_grid = np.zeros((n_k, height * width))
     origins = _offset_view(d_grid.reshape(n_k, height, width), 0, 0, stride, out_h, out_w)
+    d_bias = np.zeros(n_k)
     d_kernels = np.zeros((n_k, chans, kh, kw))
     if need_dx:
         d_low = np.zeros((n_k, kw, span + kw - 1))
         k_rows = kernels.transpose(2, 1, 0, 3).reshape(kh, chans, n_k * kw)
         dx = np.zeros((batch, chans, height * width))
     for img, rows in enumerate(_lowered_images(x, kh, kw, span)):
-        origins[...] = d_out[img]
+        if arg is None:
+            origins[...] = d_out[img]
+        else:
+            # the windows tile the same origins in every image, and the
+            # origins outside them stay zero
+            _unpool_into(origins, d_out[img], arg[img], pool, pool)
+        d_bias += origins.sum(axis=(1, 2))
         for a in range(kh):
             d_kernels[:, :, a] += (d_grid[:, :span] @ rows[a].T).reshape(n_k, chans, kw)
         if need_dx:
@@ -383,13 +403,46 @@ def conv2d_backward(d_out, cache, need_dx: bool = True):
     return (dx.reshape(x.shape) if need_dx else None), d_kernels, d_bias
 
 
-def max_pool2d_forward(x, size: int = 2, stride: int | None = None):
-    """Max pooling with argmax recorded for the backward scatter.
+def _pool_arg(shape, size: int) -> np.ndarray:
+    """An empty array for the winning window offsets a*size+b, in the
+    smallest unsigned type that holds them."""
+    return np.empty(shape, dtype=np.min_scalar_type(size * size - 1))
 
-    ``arg`` is the winning offset a*size+b within each window; on ties the
-    first maximum in row-major window order wins. Both passes work on the
-    size*size strided views of the input that hold one window offset each.
-    """
+
+def _pool_into(x, size: int, stride: int, out, arg) -> None:
+    """Max-pools x[..., H, W] over size x size windows at ``stride`` into out,
+    and writes each window's winning offset a*size+b into arg; on ties the
+    first maximum in row-major window order wins. Works on the size*size
+    strided views of x that hold one window offset each."""
+    slabs = [_offset_view(x, k // size, k % size, stride, *out.shape[-2:])
+             for k in range(size * size)]
+    np.copyto(out, slabs[0])
+    for slab in slabs[1:]:
+        np.maximum(out, slab, out=out)
+    # arg counts the leading offsets whose value is below the window's max
+    below = np.less(slabs[0], out)
+    np.copyto(arg, below)
+    for slab in slabs[1:-1]:
+        below &= slab < out
+        arg += below
+
+
+def _unpool_into(dx, d_out, arg, size: int, stride: int) -> None:
+    """Spreads each window's gradient d_out onto its winning offset arg of
+    dx[..., H, W], which must hold zeros outside the windows. Windows that
+    overlap (stride < size) add up, so there dx must be zero everywhere;
+    otherwise the window's other offsets are overwritten with zeros."""
+    for k in range(size * size):
+        slab = _offset_view(dx, k // size, k % size, stride, *d_out.shape[-2:])
+        if stride < size:
+            slab += d_out * (arg == k)
+        else:
+            np.multiply(d_out, arg == k, out=slab)
+
+
+def max_pool2d_forward(x, size: int = 2, stride: int | None = None):
+    """Max pooling with argmax recorded for the backward scatter; see
+    ``_pool_into``."""
     x = as_f64(x)
     if x.ndim != 4:
         raise ShapeError(f"max_pool2d: expected 4-d input, got {x.shape}")
@@ -399,29 +452,17 @@ def max_pool2d_forward(x, size: int = 2, stride: int | None = None):
         raise ShapeError(f"max_pool2d: window {size} larger than input {height}x{width}")
     out_h = (height - size) // stride + 1
     out_w = (width - size) // stride + 1
-    slabs = [_offset_view(x, k // size, k % size, stride, out_h, out_w)
-             for k in range(size * size)]
-    out = np.copy(slabs[0])
-    for slab in slabs[1:]:
-        np.maximum(out, slab, out=out)
-    # arg counts the leading offsets whose value is below the window's max
-    below = np.ones(out.shape, dtype=bool)
-    arg = np.zeros(out.shape, dtype=np.intp)
-    for slab in slabs[:-1]:
-        below &= slab < out
-        arg += below
-    cache = (x.shape, size, stride, arg, (out_h, out_w))
+    out = np.empty((*x.shape[:2], out_h, out_w))
+    arg = _pool_arg(out.shape, size)
+    _pool_into(x, size, stride, out, arg)
+    cache = (x.shape, size, stride, arg)
     return out, cache
 
 
 def max_pool2d_backward(d_out, cache):
-    x_shape, size, stride, arg, (out_h, out_w) = cache
-    d_out = as_f64(d_out)
+    x_shape, size, stride, arg = cache
     dx = np.zeros(x_shape)
-    for k in range(size * size):
-        slab = _offset_view(dx, k // size, k % size, stride, out_h, out_w)
-        # += so that overlapping windows (stride < size) accumulate
-        slab += d_out * (arg == k)
+    _unpool_into(dx, as_f64(d_out), arg, size, stride)
     return dx
 
 

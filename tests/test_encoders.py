@@ -19,7 +19,7 @@ from baitradar.encoders import (
 )
 from baitradar.modalities import TEXT_MODALITIES
 from baitradar.model import featurize_record
-from baitradar.textpipe import MAX_LEN, build_vocab, modality_text, tokenize
+from baitradar.textpipe import MAX_LEN, PAD_ID, build_vocab, modality_text, tokenize
 
 CFG = EncoderConfig(fusion_dim=6, embed_dim=4, conv_channels=(2, 3), conv_kernel=3,
                     pool_size=2, thumb_size=16, stats_hidden=5, head_hidden=4)
@@ -128,6 +128,17 @@ def test_text_batch_is_padded_to_its_longest_row(monkeypatch):
     monkeypatch.setattr(nncore, "embedding_forward", spy)
     ENCODERS["comments"].forward("comments", text_payloads([5, 0, 2, 9]), params, CFG)
     assert widths == [9]
+
+
+def test_text_embedding_grad_over_live_cells_equals_all_cells():
+    params = params_of(init_text_params("comments", 12, CFG, np.random.default_rng(10)))
+    h, cache = ENCODERS["comments"].forward("comments", text_payloads([5, 0, 2, 9]), params, CFG)
+    d_h = np.random.default_rng(11).normal(size=h.shape)
+    ENCODERS["comments"].backward(d_h, cache, params)
+    _, ids, lstm_cache, vocab_size = cache
+    assert (ids == PAD_ID).any()  # the batch holds padding cells
+    all_cells = nncore.embedding_backward(nncore.lstm_backward(d_h, lstm_cache)[0], ids, vocab_size)
+    assert params["comments.embedding.table"].grad.tobytes() == all_cells.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -439,20 +439,76 @@ def test_conv_matches_window_by_window_reference(batch, stride, need_dx):
         assert dx is None
 
 
+def cached_arrays(item):
+    if isinstance(item, np.ndarray):
+        return [item]
+    return [a for part in item for a in cached_arrays(part)] if isinstance(item, tuple) else []
+
+
 def test_conv_cache_holds_nothing_larger_than_its_input():
     # a cached im2col matrix would hold kh*kw = 25 shifted copies of x,
     # 14 times its size at this shape
     rng = np.random.default_rng(24)
     x = rng.uniform(size=(11, 3, 16, 16))
     _, cache = conv2d_forward(x, rng.normal(size=(4, 3, 5, 5)), np.zeros(4))
-
-    def arrays(item):
-        if isinstance(item, np.ndarray):
-            return [item]
-        return [a for part in item for a in arrays(part)] if isinstance(item, tuple) else []
-
-    cached = arrays(cache)
+    cached = cached_arrays(cache)
     assert cached and max(a.size for a in cached) <= x.size
+
+
+def test_pooled_conv_cache_holds_no_conv_output():
+    # at conv1's shape the [B,8,60,60] conv output is 2.3 times the input
+    rng = np.random.default_rng(25)
+    x = rng.uniform(size=(2, 3, 64, 64))
+    _, cache = conv2d_forward(x, rng.normal(size=(8, 3, 5, 5)), np.zeros(8), pool=2)
+    assert max(a.nbytes for a in cached_arrays(cache)) < 2 * 8 * 60 * 60 * 8
+
+
+@pytest.mark.parametrize("x_shape,k_shape", [
+    ((5, 3, 64, 64), (8, 3, 5, 5)),   # conv1
+    ((5, 8, 30, 30), (16, 8, 5, 5)),  # conv2
+    ((3, 3, 17, 17), (4, 3, 5, 5)),   # 13x13 output pooled to 6x6
+])
+def test_pooled_conv_equals_conv_then_pool_bit_for_bit(x_shape, k_shape):
+    rng = np.random.default_rng(x_shape[1] * 100 + x_shape[2])
+    x = rng.uniform(size=x_shape)
+    kernels = rng.normal(size=k_shape) * 0.1
+    bias = rng.normal(size=k_shape[0])
+    conv, conv_cache = conv2d_forward(x, kernels, bias)
+    pooled, pool_cache = max_pool2d_forward(conv, 2)
+    out, cache = conv2d_forward(x, kernels, bias, pool=2)
+    assert out.tobytes() == pooled.tobytes()
+    d_out = rng.normal(size=out.shape)
+    d_conv = max_pool2d_backward(d_out, pool_cache)
+    grads = conv2d_backward(d_out, cache)
+    for name, got, expected in zip(("dx", "d_kernels", "d_bias"), grads,
+                                   conv2d_backward(d_conv, conv_cache)):
+        assert got.tobytes() == expected.tobytes(), name
+    if conv.shape[-1] % 2:
+        # the last conv row and column lie in no window
+        assert not d_conv[..., -1, :].any() and not d_conv[..., :, -1].any()
+        for got, expected in zip(grads, naive_conv_grads(x, kernels, d_conv, 1)):
+            np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-12)
+
+
+def test_pooled_conv_tie_sends_gradient_to_first_maximum():
+    # a 1x1 identity kernel, so the conv output is x and dx the unpooled grad
+    x = np.zeros((1, 1, 2, 4))
+    x[0, 0, 1, 3] = 2.0
+    out, cache = conv2d_forward(x, np.ones((1, 1, 1, 1)), np.zeros(1), pool=2)
+    np.testing.assert_array_equal(out, [[[[0.0, 2.0]]]])
+    dx, _, d_bias = conv2d_backward(np.array([[[[3.0, 5.0]]]]), cache)
+    expected = np.zeros_like(x)
+    expected[0, 0, 0, 0] = 3.0
+    expected[0, 0, 1, 3] = 5.0
+    np.testing.assert_array_equal(dx, expected)
+    np.testing.assert_array_equal(d_bias, [8.0])
+
+
+@pytest.mark.parametrize("pool", [0, -1, 5])
+def test_pooled_conv_rejects_pool_outside_the_conv_output(pool):
+    # a 6x6 input and 3x3 kernel give a 4x4 conv output
+    with pytest.raises(nncore.ShapeError):
+        conv2d_forward(np.zeros((1, 1, 6, 6)), np.zeros((1, 1, 3, 3)), np.zeros(1), pool=pool)
 
 
 _CONV_HASHES_IN_CHILD = """
