@@ -68,7 +68,7 @@ def check_lstm(seed: int = 103) -> GradCheckReport:
     hidden = 3
     # unsorted lengths with a zero row, so the length sort is checked too
     lengths = np.array([2, 4, 0])
-    params = [_param(rng, "x", (3, 4, 3)), _param(rng, "wx", (3, 4 * hidden)),
+    params = [_param(rng, "x", (lengths.sum(), 3)), _param(rng, "wx", (3, 4 * hidden)),
               _param(rng, "wh", (hidden, 4 * hidden)), _param(rng, "b", (4 * hidden,))]
 
     def run(weights):
@@ -127,13 +127,14 @@ _TINY = EncoderConfig(fusion_dim=4, embed_dim=3, conv_channels=(2, 3), conv_kern
 
 
 def check_text_encoder(seed: int = 106) -> GradCheckReport:
-    """Embedding -> LSTM end to end, with padded rows."""
+    """Embedding -> LSTM end to end, on a batch of two payloads of unequal
+    length."""
     rng = np.random.default_rng(seed)
     params = _params(encoders.init_text_params("title", 6, _TINY, rng))
-    ids = np.array([[3, 1, 5, 0], [2, 2, 0, 0]])
+    payloads = [np.array([3, 1, 5]), np.array([2, 2])]
 
     def run(weights):
-        h, cache = encoders.encode_text_forward("title", ids, np.array([3, 2]), params)
+        h, cache = encoders.encode_text_forward("title", payloads, params)
         encoders.encode_text_backward(weights, cache, params)
         return h
 

@@ -149,11 +149,12 @@ def init_stats_params(cfg: EncoderConfig, rng: np.random.Generator) -> dict[str,
 # batched forward/backward per modality
 # ---------------------------------------------------------------------------
 
-def encode_text_forward(modality: str, ids, lengths, params):
-    """ids[B,L] -> embedding -> LSTM final hidden [B,d]; row i holds
-    lengths[i] ids, then padding the LSTM never reads."""
+def encode_text_forward(modality: str, payloads, params):
+    """B payloads of token ids -> embedding -> LSTM final hidden [B,d]. The
+    batch runs as the payloads concatenated in row order: sum(lengths) ids."""
+    lengths = np.array([len(ids) for ids in payloads], dtype=np.int64)
     table = params[f"{modality}.embedding.table"]
-    emb, emb_cache = nncore.embedding_forward(ids, table.value)
+    emb, ids = nncore.embedding_forward(np.concatenate(payloads), table.value)
     h, lstm_cache = nncore.lstm_forward(
         emb,
         params[f"{modality}.lstm.wx"].value,
@@ -161,7 +162,7 @@ def encode_text_forward(modality: str, ids, lengths, params):
         params[f"{modality}.lstm.b"].value,
         lengths,
     )
-    return h, (modality, emb_cache, lstm_cache, table.value.shape[0])
+    return h, (modality, ids, lstm_cache, table.value.shape[0])
 
 
 def encode_text_backward(d_h, cache, params):
@@ -170,11 +171,8 @@ def encode_text_backward(d_h, cache, params):
     params[f"{modality}.lstm.wx"].grad += d_wx
     params[f"{modality}.lstm.wh"].grad += d_wh
     params[f"{modality}.lstm.b"].grad += d_b
-    # padding cells hold PAD's id and an exactly zero gradient, so only the
-    # live cells are scattered
-    live = ids != textpipe.PAD_ID
     params[f"{modality}.embedding.table"].grad += nncore.embedding_backward(
-        d_emb[live], ids[live], vocab_size)
+        d_emb, ids, vocab_size)
 
 
 def encode_thumbnail_forward(pixels, params, cfg: EncoderConfig):
@@ -231,7 +229,7 @@ class EncoderKind:
     payload: a text's kept token ids (int64, unpadded), a thumbnail's uint8
     [3,S,S] pixels, or the normalized statistics;
     forward(m, payloads, params, cfg) -> (out [B,d], cache), where the text
-    kind pads its batch to the longest row;
+    kind runs its payloads concatenated in row order;
     backward(d_out, cache, params) accumulates the parameter grads.
     Entries call the functions above by global name at call time, so that
     rebinding those module attributes (as an external tracer does) is seen.
@@ -241,14 +239,6 @@ class EncoderKind:
     featurize: Callable
     forward: Callable
     backward: Callable
-
-
-def _text_forward(m, payloads, params, cfg):
-    lengths = np.array([len(ids) for ids in payloads], dtype=np.int64)
-    batch = np.full((len(payloads), lengths.max()), textpipe.PAD_ID, dtype=np.int64)
-    for row, ids in zip(batch, payloads):
-        row[: len(ids)] = ids
-    return encode_text_forward(m, batch, lengths, params)
 
 
 def _thumbnail_payload(record, m, vocab, stats_norm, cfg, base_dir):
@@ -266,7 +256,7 @@ ENCODERS: dict[str, EncoderKind] = {
         init=lambda m, vocab_size, cfg, rng: init_text_params(m, vocab_size, cfg, rng),
         featurize=lambda record, m, vocab, norm, cfg, base_dir: textpipe.encode_modality(
             record, m, vocab),
-        forward=_text_forward,
+        forward=lambda m, payloads, params, cfg: encode_text_forward(m, payloads, params),
         backward=lambda d_out, cache, params: encode_text_backward(d_out, cache, params),
     )),
     "thumbnail": EncoderKind(

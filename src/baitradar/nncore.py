@@ -112,7 +112,7 @@ def dense_backward(d_out, cache):
 # ---------------------------------------------------------------------------
 
 def embedding_forward(ids, table):
-    """Row lookup: ids[B,L] into table[V,E] -> out[B,L,E]."""
+    """Row lookup: ids of any shape into table[V,E] -> out[*ids.shape, E]."""
     ids = np.asarray(ids, dtype=np.int64)
     table = as_f64(table)
     if ids.size and (ids.min() < 0 or ids.max() >= table.shape[0]):
@@ -131,18 +131,17 @@ def embedding_backward(d_out, ids, vocab_size: int):
 
 
 # ---------------------------------------------------------------------------
-# LSTM over a padded batch
+# LSTM over a batch of concatenated sequences
 # ---------------------------------------------------------------------------
 
 def lstm_forward(x, wx, wh, b, lengths):
-    """Run an LSTM over x[B,L,E] and return the hidden state at each row's
-    true length.
+    """Run an LSTM over B sequences and return each one's final hidden state.
 
-    Gate order in the stacked weights is (i, f, o, g) — the three sigmoid
-    gates first so they activate as one contiguous block: wx[E,4H], wh[H,4H],
-    b[4H]. Initial state is zero. Steps at or beyond a row's length leave its
-    state untouched, so the result is invariant to padding content, and a
-    zero-length row yields a zero vector.
+    x[sum(lengths), E] holds the sequences one after another in row order:
+    row i's lengths[i] steps follow row i-1's. Gate order in the stacked
+    weights is (i, f, o, g) — the three sigmoid gates first so they activate
+    as one contiguous block: wx[E,4H], wh[H,4H], b[4H]. Initial state is
+    zero, so a zero-length row yields a zero vector.
 
     Rows are stable-sorted by length, longest first, so the rows live at step
     t are a prefix of n_live[t] rows. Every time-major array is packed: step
@@ -158,7 +157,7 @@ def lstm_forward(x, wx, wh, b, lengths):
     """
     x, wx, wh, b = as_f64(x), as_f64(wx), as_f64(wh), as_f64(b)
     lengths = np.asarray(lengths, dtype=np.int64)
-    if x.ndim != 3 or wx.ndim != 2 or x.shape[2] != wx.shape[0]:
+    if x.ndim != 2 or wx.ndim != 2 or x.shape[1] != wx.shape[0]:
         raise ShapeError(f"lstm: x{x.shape} incompatible with wx{wx.shape}")
     four_h = wx.shape[1]
     if four_h % 4 != 0:
@@ -166,14 +165,13 @@ def lstm_forward(x, wx, wh, b, lengths):
     hidden = four_h // 4
     if wh.shape != (hidden, four_h) or b.shape != (four_h,):
         raise ShapeError(f"lstm: wh{wh.shape} b{b.shape} do not match hidden size {hidden}")
-    batch, max_len, in_dim = x.shape
-    if lengths.shape != (batch,):
-        raise ShapeError("lstm: lengths must be in [0, L] with one entry per row")
+    if lengths.ndim != 1 or (lengths < 0).any() or lengths.sum() != len(x):
+        raise ShapeError(f"lstm: lengths {lengths.shape} must be >= 0 and sum to the "
+                         f"{len(x)} rows of x")
+    batch = len(lengths)
     order = np.argsort(-lengths, kind="stable")
     sorted_len = lengths[order]
     steps = int(sorted_len[0]) if batch else 0
-    if steps > max_len or (batch and sorted_len[-1] < 0):
-        raise ShapeError("lstm: lengths must be in [0, L] with one entry per row")
 
     # block t of the packed state holds sizes[t] rows: the B zero rows that
     # enter step 0 (t = 0), else step t-1's live rows, the rows whose length
@@ -181,12 +179,11 @@ def lstm_forward(x, wx, wh, b, lengths):
     t_minus_1 = np.arange(-1, steps)
     sizes = np.searchsorted(-sorted_len, -t_minus_1, side="left")
     start = np.cumsum(sizes) - sizes
-    # packed input row start[t + 1] - B + k is x[order[k], t]: the live cells
-    # of the time-major [steps, B] grid in order, taken as whole rows of the
-    # flattened [B*L, E] input
+    # packed input row start[t + 1] - B + k is step t of row order[k], which
+    # sits in x at that row's offset plus t; rows is a permutation of x's rows
     step = t_minus_1[1:, None]
-    rows = (order * max_len + step)[step < sorted_len]
-    xt = x.reshape(batch * max_len, in_dim)[rows]
+    rows = ((np.cumsum(lengths) - lengths)[order] + step)[step < sorted_len]
+    xt = x[rows]
     # a sigmoid gate is 0.5 * (1 + tanh(z / 2)). Halving the sigmoid gates'
     # weights and bias up front is exact in floating point, and lets one tanh
     # call per step activate all four gates
@@ -221,7 +218,7 @@ def lstm_forward(x, wx, wh, b, lengths):
         np.multiply(o, tanh_c, out=hs[out : out + n])
     h = np.empty((batch, hidden))
     h[order] = np.take(hs, start[sorted_len] + np.arange(batch), axis=0)
-    cache = (x.shape, xt, wx, wh, order, rows, sizes, start, act, cs, tanh_cs, hs)
+    cache = (xt, wx, wh, order, rows, sizes, start, act, cs, tanh_cs, hs)
     return h, cache
 
 
@@ -232,10 +229,11 @@ def lstm_backward(d_h, cache):
     gradient enters at its last step and rows past their length are never
     touched, so nothing is masked. Each step's gate gradient is stored in the
     forward's packed layout, and the weight, bias and input gradients are
-    each one GEMM or sum over the packed rows after the loop.
+    each one GEMM or sum over the packed rows after the loop. The input
+    gradient comes back in x's layout.
     """
-    x_shape, xt, wx, wh, order, rows, sizes, start, act, cs, tanh_cs, hs = cache
-    batch, max_len, in_dim = x_shape
+    xt, wx, wh, order, rows, sizes, start, act, cs, tanh_cs, hs = cache
+    batch = len(order)
     hidden = wh.shape[0]
     d_h = as_f64(d_h)[order]
     d_c = np.zeros_like(d_h)
@@ -276,9 +274,8 @@ def lstm_backward(d_h, cache):
     h_in = hs[np.arange(len(rows)) + np.repeat(batch - sizes[:-1], sizes[1:])]
     d_wh = h_in.T @ dz_all
     d_wx = xt.T @ dz_all
-    dx = np.zeros((batch * max_len, in_dim))
+    dx = np.empty_like(xt)
     dx[rows] = dz_all @ wx.T
-    dx = dx.reshape(x_shape)
     return dx, d_wx, d_wh, d_b
 
 
@@ -352,7 +349,7 @@ def conv2d_forward(x, kernels, bias, stride: int = 1, pool: int = 1):
             acc += k_rows[a] @ rows[a]
         if pool > 1:
             np.add(origins, bias, out=conv)
-            _pool_into(conv, pool, pool, out[img], arg[img])
+            _pool_into(conv, pool, out[img], arg[img])
         else:
             np.add(origins, bias, out=out[img])
     cache = (x, kernels, stride, (out_h, out_w), pool, arg)
@@ -390,7 +387,7 @@ def conv2d_backward(d_out, cache, need_dx: bool = True):
         else:
             # the windows tile the same origins in every image, and the
             # origins outside them stay zero
-            _unpool_into(origins, d_out[img], arg[img], pool, pool)
+            _unpool_into(origins, d_out[img], arg[img], pool)
         d_bias += origins.sum(axis=(1, 2))
         for a in range(kh):
             d_kernels[:, :, a] += (d_grid[:, :span] @ rows[a].T).reshape(n_k, chans, kw)
@@ -409,12 +406,12 @@ def _pool_arg(shape, size: int) -> np.ndarray:
     return np.empty(shape, dtype=np.min_scalar_type(size * size - 1))
 
 
-def _pool_into(x, size: int, stride: int, out, arg) -> None:
-    """Max-pools x[..., H, W] over size x size windows at ``stride`` into out,
-    and writes each window's winning offset a*size+b into arg; on ties the
-    first maximum in row-major window order wins. Works on the size*size
+def _pool_into(x, size: int, out, arg) -> None:
+    """Max-pools x[..., H, W] over size x size windows at stride size into
+    out, and writes each window's winning offset a*size+b into arg; on ties
+    the first maximum in row-major window order wins. Works on the size*size
     strided views of x that hold one window offset each."""
-    slabs = [_offset_view(x, k // size, k % size, stride, *out.shape[-2:])
+    slabs = [_offset_view(x, k // size, k % size, size, *out.shape[-2:])
              for k in range(size * size)]
     np.copyto(out, slabs[0])
     for slab in slabs[1:]:
@@ -427,42 +424,35 @@ def _pool_into(x, size: int, stride: int, out, arg) -> None:
         arg += below
 
 
-def _unpool_into(dx, d_out, arg, size: int, stride: int) -> None:
+def _unpool_into(dx, d_out, arg, size: int) -> None:
     """Spreads each window's gradient d_out onto its winning offset arg of
-    dx[..., H, W], which must hold zeros outside the windows. Windows that
-    overlap (stride < size) add up, so there dx must be zero everywhere;
-    otherwise the window's other offsets are overwritten with zeros."""
+    dx[..., H, W], which must hold zeros outside the windows; the window's
+    other offsets are overwritten with zeros."""
     for k in range(size * size):
-        slab = _offset_view(dx, k // size, k % size, stride, *d_out.shape[-2:])
-        if stride < size:
-            slab += d_out * (arg == k)
-        else:
-            np.multiply(d_out, arg == k, out=slab)
+        slab = _offset_view(dx, k // size, k % size, size, *d_out.shape[-2:])
+        np.multiply(d_out, arg == k, out=slab)
 
 
-def max_pool2d_forward(x, size: int = 2, stride: int | None = None):
-    """Max pooling with argmax recorded for the backward scatter; see
-    ``_pool_into``."""
+def max_pool2d_forward(x, size: int = 2):
+    """Max pooling over size x size windows at stride size, with argmax
+    recorded for the backward scatter; see ``_pool_into``."""
     x = as_f64(x)
     if x.ndim != 4:
         raise ShapeError(f"max_pool2d: expected 4-d input, got {x.shape}")
-    stride = size if stride is None else stride
     height, width = x.shape[2:]
     if size > height or size > width:
         raise ShapeError(f"max_pool2d: window {size} larger than input {height}x{width}")
-    out_h = (height - size) // stride + 1
-    out_w = (width - size) // stride + 1
-    out = np.empty((*x.shape[:2], out_h, out_w))
+    out = np.empty((*x.shape[:2], height // size, width // size))
     arg = _pool_arg(out.shape, size)
-    _pool_into(x, size, stride, out, arg)
-    cache = (x.shape, size, stride, arg)
+    _pool_into(x, size, out, arg)
+    cache = (x.shape, size, arg)
     return out, cache
 
 
 def max_pool2d_backward(d_out, cache):
-    x_shape, size, stride, arg = cache
+    x_shape, size, arg = cache
     dx = np.zeros(x_shape)
-    _unpool_into(dx, as_f64(d_out), arg, size, stride)
+    _unpool_into(dx, as_f64(d_out), arg, size)
     return dx
 
 
@@ -480,13 +470,13 @@ def relu_backward(d_out, cache):
 # ---------------------------------------------------------------------------
 
 def sigmoid(x):
-    """Logistic function as 0.5 * (1 + tanh(x / 2)): stable for every input,
-    with no masking; a 0-d input gives a float. The LSTM gates use the same
+    """Logistic function as 0.5 * (1 + tanh(x / 2)), an array of x's shape:
+    stable for every input, with no masking. The LSTM gates use the same
     form, folded into their weights."""
     out = np.tanh(as_f64(x) * 0.5)
     out += 1.0
     out *= 0.5
-    return float(out) if out.ndim == 0 else out
+    return out
 
 
 def sigmoid_backward(d_out, out):

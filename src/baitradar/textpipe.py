@@ -12,6 +12,8 @@ import numpy as np
 
 from .modalities import TEXT_MODALITIES
 
+# No text is padded, and no token encodes to PAD_ID; the id stays reserved so
+# that vocabularies and checkpoints keep their layout.
 PAD_ID = 0
 UNK_ID = 1
 PAD_TOKEN = "<pad>"

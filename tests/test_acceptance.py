@@ -168,7 +168,7 @@ def test_c03_single_modality_degeneracy(degeneracy_model):
         pred = model.predict(record, subset=ModalityMask.from_names([m]))
         if m in ("title", "comments", "audio_transcript", "tags"):
             ids = feats[m]
-            vec, _ = encoders.encode_text_forward(m, ids[None], np.array([len(ids)]), model.params)
+            vec, _ = encoders.encode_text_forward(m, [ids], model.params)
         elif m == "thumbnail":
             px = feats[m][None].astype(np.float64) / 255.0
             vec, _ = encoders.encode_thumbnail_forward(px, model.params, model.config)

@@ -19,7 +19,7 @@ from baitradar.encoders import (
 )
 from baitradar.modalities import TEXT_MODALITIES
 from baitradar.model import featurize_record
-from baitradar.textpipe import MAX_LEN, PAD_ID, build_vocab, modality_text, tokenize
+from baitradar.textpipe import MAX_LEN, build_vocab, modality_text, tokenize
 
 CFG = EncoderConfig(fusion_dim=6, embed_dim=4, conv_channels=(2, 3), conv_kernel=3,
                     pool_size=2, thumb_size=16, stats_hidden=5, head_hidden=4)
@@ -41,17 +41,15 @@ def stats_record(**kw):
 
 def test_text_empty_sequence_yields_zero_vector():
     params = params_of(init_text_params("title", 10, CFG, np.random.default_rng(0)))
-    ids = np.zeros((1, 5), dtype=np.int64)
-    h, _ = encode_text_forward("title", ids, np.array([0]), params)
+    h, _ = encode_text_forward("title", [np.zeros(0, dtype=np.int64)], params)
     np.testing.assert_array_equal(h, np.zeros((1, CFG.fusion_dim)))
 
 
 def test_text_encoder_deterministic():
     params = params_of(init_text_params("title", 10, CFG, np.random.default_rng(1)))
-    ids = np.array([[3, 1, 4, 0, 0]])
-    lens = np.array([3])
-    h1, _ = encode_text_forward("title", ids, lens, params)
-    h2, _ = encode_text_forward("title", ids, lens, params)
+    payloads = [np.array([3, 1, 4])]
+    h1, _ = encode_text_forward("title", payloads, params)
+    h2, _ = encode_text_forward("title", payloads, params)
     np.testing.assert_array_equal(h1, h2)
 
 
@@ -59,23 +57,22 @@ def test_text_modalities_have_independent_parameters():
     rng = np.random.default_rng(2)
     title = params_of(init_text_params("title", 10, CFG, rng))
     tags = params_of(init_text_params("tags", 10, CFG, rng))
-    ids = np.array([[2, 5, 1]])
-    lens = np.array([3])
-    h_title, _ = encode_text_forward("title", ids, lens, title)
-    h_tags, _ = encode_text_forward("tags", ids, lens, tags)
+    payloads = [np.array([2, 5, 1])]
+    h_title, _ = encode_text_forward("title", payloads, title)
+    h_tags, _ = encode_text_forward("tags", payloads, tags)
     assert np.abs(h_title - h_tags).max() > 1e-6
 
 
 def test_text_encoder_output_dimension_is_fusion_dim():
     params = params_of(init_text_params("comments", 12, CFG, np.random.default_rng(3)))
-    h, _ = encode_text_forward("comments", np.array([[1, 2, 3, 4]]), np.array([4]), params)
+    h, _ = encode_text_forward("comments", [np.array([1, 2, 3, 4])], params)
     assert h.shape == (1, CFG.fusion_dim)
 
 
 def test_text_encoder_rejects_out_of_vocab_id():
     params = params_of(init_text_params("title", 4, CFG, np.random.default_rng(4)))
     with pytest.raises(nncore.ShapeError):
-        encode_text_forward("title", np.array([[7]]), np.array([1]), params)
+        encode_text_forward("title", [np.array([7])], params)
 
 
 def test_text_payload_is_the_kept_token_ids():
@@ -109,36 +106,49 @@ def test_text_batch_rows_equal_each_row_run_alone():
     h, _ = ENCODERS["comments"].forward("comments", payloads, params, CFG)
     assert h.shape == (4, CFG.fusion_dim)
     for row, ids in zip(h, payloads):
-        alone, _ = encode_text_forward("comments", ids[None], np.array([len(ids)]), params)
+        alone, _ = encode_text_forward("comments", [ids], params)
         assert np.abs(row - alone[0]).max() <= 1e-12
     np.testing.assert_array_equal(h[1], np.zeros(CFG.fusion_dim))
     h, _ = ENCODERS["comments"].forward("comments", text_payloads([0, 0, 0]), params, CFG)
     np.testing.assert_array_equal(h, np.zeros((3, CFG.fusion_dim)))
 
 
-def test_text_batch_is_padded_to_its_longest_row(monkeypatch):
+def test_text_batch_embeds_exactly_its_concatenated_ids(monkeypatch):
     params = params_of(init_text_params("comments", 12, CFG, np.random.default_rng(9)))
-    widths = []
+    payloads = text_payloads([5, 0, 2, 9])
+    looked_up = []
     real = nncore.embedding_forward
 
     def spy(ids, table):
-        widths.append(np.shape(ids)[1])
+        looked_up.append(ids)
         return real(ids, table)
 
     monkeypatch.setattr(nncore, "embedding_forward", spy)
-    ENCODERS["comments"].forward("comments", text_payloads([5, 0, 2, 9]), params, CFG)
-    assert widths == [9]
+    ENCODERS["comments"].forward("comments", payloads, params, CFG)
+    assert len(looked_up) == 1
+    assert looked_up[0].shape == (16,)
+    np.testing.assert_array_equal(looked_up[0], np.concatenate(payloads))
 
 
-def test_text_embedding_grad_over_live_cells_equals_all_cells():
+def test_text_embedding_grad_scatters_payload_ids_in_row_order():
+    """The table grad is np.add.at over the payload ids in row-major order,
+    bit for bit. Float sums depend on their order, and on this batch a
+    scatter in the LSTM's time-major order gives other bits."""
     params = params_of(init_text_params("comments", 12, CFG, np.random.default_rng(10)))
-    h, cache = ENCODERS["comments"].forward("comments", text_payloads([5, 0, 2, 9]), params, CFG)
+    # three distinct ids, so each table row sums many terms
+    payloads = [ids % 3 + 1 for ids in text_payloads([30, 0, 12, 45])]
+    h, cache = ENCODERS["comments"].forward("comments", payloads, params, CFG)
     d_h = np.random.default_rng(11).normal(size=h.shape)
     ENCODERS["comments"].backward(d_h, cache, params)
-    _, ids, lstm_cache, vocab_size = cache
-    assert (ids == PAD_ID).any()  # the batch holds padding cells
-    all_cells = nncore.embedding_backward(nncore.lstm_backward(d_h, lstm_cache)[0], ids, vocab_size)
-    assert params["comments.embedding.table"].grad.tobytes() == all_cells.tobytes()
+    d_x = nncore.lstm_backward(d_h, cache[2])[0]
+    ids = np.concatenate(payloads)
+    row_major = np.zeros((12, CFG.embed_dim))
+    np.add.at(row_major, ids, d_x)
+    assert params["comments.embedding.table"].grad.tobytes() == row_major.tobytes()
+    time_major = np.argsort(np.concatenate([np.arange(len(p)) for p in payloads]), kind="stable")
+    other = np.zeros_like(row_major)
+    np.add.at(other, ids[time_major], d_x[time_major])
+    assert other.tobytes() != row_major.tobytes()
 
 
 # ---------------------------------------------------------------------------

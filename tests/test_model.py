@@ -70,9 +70,7 @@ def test_single_modality_pipeline_equals_direct_encoder_head(tiny_model, tiny_re
 
     payload = featurize(tiny_model, rec).inputs[modality]
     if modality in ("title", "comments", "audio_transcript", "tags"):
-        vec, _ = encoders.encode_text_forward(
-            modality, payload[None], np.array([len(payload)]), tiny_model.params,
-        )
+        vec, _ = encoders.encode_text_forward(modality, [payload], tiny_model.params)
     elif modality == "thumbnail":
         px = payload[None].astype(np.float64) / 255.0
         vec, _ = encoders.encode_thumbnail_forward(px, tiny_model.params, tiny_model.config)

