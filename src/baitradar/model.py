@@ -108,10 +108,6 @@ class BaitRadarModel:
             names = [n for n in names if n.startswith(prefix)]
         return [self.params[n] for n in names]
 
-    def zero_grads(self) -> None:
-        for p in self.params.values():
-            p.zero_grad()
-
     def copy_param_values(self) -> dict[str, np.ndarray]:
         return {n: p.value.copy() for n, p in self.params.items()}
 
@@ -142,11 +138,14 @@ class BaitRadarModel:
         rows = {m: r for m, (r, _) in encoded.items()}
         return probs, (rows, enc_caches, n_present, head_cache)
 
-    def backward(self, d_probs, cache) -> None:
+    def backward(self, d_probs, cache, frozen=frozenset()) -> None:
+        """Accumulates parameter grads; the encoders of the ``frozen``
+        modalities are not back-propagated into."""
         rows, enc_caches, n_present, head_cache = cache
         d_fused = fusion.head_backward(d_probs, head_cache, self.params)
         for m, d_out in fusion.fuse_batch_backward(d_fused, rows, n_present).items():
-            ENCODERS[m].backward(d_out, enc_caches[m], self.params)
+            if m not in frozen:
+                ENCODERS[m].backward(d_out, enc_caches[m], self.params)
 
     # -- inference ------------------------------------------------------------
 

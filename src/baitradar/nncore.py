@@ -29,17 +29,32 @@ def as_f64(x) -> np.ndarray:
 
 
 class Parameter:
-    """Named trainable tensor with an accumulated gradient and Adam moments."""
+    """Named trainable tensor. Its accumulated gradient ``grad`` and Adam
+    moments ``m`` and ``v`` are zero arrays made the first time one is read,
+    so a model that never trains holds only its values."""
+
+    _STATE = ("grad", "m", "v")
 
     def __init__(self, name: str, value: np.ndarray):
         self.name = name
         self.value = as_f64(value).copy()
-        self.grad = np.zeros_like(self.value)
-        self.m = np.zeros_like(self.value)
-        self.v = np.zeros_like(self.value)
+
+    def __getattr__(self, attr):
+        # reached only for an attribute not set yet; other names (copy's and
+        # pickle's probes included) must not read self.value
+        if attr not in Parameter._STATE:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {attr!r}")
+        zeros = np.zeros_like(self.value)
+        setattr(self, attr, zeros)
+        return zeros
 
     def zero_grad(self) -> None:
         self.grad.fill(0.0)
+
+    def drop_state(self) -> None:
+        """Frees the gradient and moments; a later read makes zeros again."""
+        for attr in Parameter._STATE:
+            self.__dict__.pop(attr, None)
 
     def __repr__(self):
         return f"Parameter({self.name!r}, shape={self.value.shape})"

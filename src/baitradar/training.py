@@ -180,9 +180,10 @@ def train(records, split: DatasetSplit, config: TrainConfig,
     validation accuracy has not improved for ``patience`` epochs, or at
     ``max_epochs``; the returned model carries the best-validation weights
     (ties resolved toward the later epoch, so a threshold stop returns mature
-    weights). ``init`` supplies pretrained weights for the head_only and
-    finetune regimes; any parameter whose name matches is copied over, so a
-    list of single-modality models transfers each encoder.
+    weights) and no gradients or Adam moments. ``init`` supplies pretrained
+    weights for the head_only and finetune regimes; any parameter whose name
+    matches is copied over, so a list of single-modality models transfers
+    each encoder.
     """
     t_start = time.perf_counter()
     inits = [init] if isinstance(init, BaitRadarModel) else list(init or [])
@@ -224,6 +225,9 @@ def train(records, split: DatasetSplit, config: TrainConfig,
     val_masks = [model.effective_mask(r, None) for r in select_records(records, split.validation)]
 
     trainable = model.parameters(trainable_only_head=config.regime == "head_only")
+    # encoders with no trainable parameter (all of them under head_only)
+    frozen = {m for m in model.modalities
+              if not any(p.name.startswith(m + ".") for p in trainable)}
     n_train = len(train_feats)
     losses: list[float] = []
     val_accs: list[float] = []
@@ -252,8 +256,9 @@ def train(records, split: DatasetSplit, config: TrainConfig,
                 raise TrainingError(
                     f"non-finite loss at epoch {epoch}, batch {b_start // config.batch_size}"
                 )
-            model.zero_grads()
-            model.backward(nncore.binary_cross_entropy_grad(probs, labels), cache)
+            for p in trainable:
+                p.zero_grad()
+            model.backward(nncore.binary_cross_entropy_grad(probs, labels), cache, frozen)
             adam_t += 1
             nncore.adam_step(trainable, config.lr, config.beta1, config.beta2,
                              config.adam_eps, adam_t)
@@ -279,6 +284,9 @@ def train(records, split: DatasetSplit, config: TrainConfig,
 
     if best_values is not None:
         model.load_param_values(best_values)
+    # grads and moments describe the last batch; the returned model needs none
+    for p in model.parameters():
+        p.drop_state()
     report = TrainReport(
         losses=losses, val_accuracies=val_accs, stop_reason=stop_reason,
         epochs_run=len(losses), best_epoch=best_epoch,

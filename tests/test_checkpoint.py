@@ -34,6 +34,11 @@ def test_round_trip_tensors_bit_identical(tiny_model):
     assert restored.head_arch == tiny_model.head_arch
 
 
+def test_loaded_model_holds_no_grads_or_moments(tiny_model):
+    for p in loads(dumps(tiny_model)).params.values():
+        assert set(vars(p)) == {"name", "value"}, p.name
+
+
 def test_save_load_save_byte_identical(tiny_model, tmp_path):
     p1, p2 = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
     save_checkpoint(tiny_model, p1)

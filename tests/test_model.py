@@ -14,6 +14,14 @@ def featurize(model, record):
     return featurize_record(record, model.vocab, model.stats_norm, model.config)
 
 
+def test_built_model_serves_without_grads_or_moments(tiny_prepared, tiny_records):
+    model = BaitRadarModel.build(MODALITIES, tiny_prepared.vocab, tiny_prepared.stats_norm,
+                                 SMALL_ENCODER, seed=9)
+    model.predict_many(tiny_records[:3])
+    for p in model.params.values():
+        assert set(vars(p)) == {"name", "value"}, p.name
+
+
 def test_predict_uses_only_available_modalities(tiny_model, tiny_records):
     rec = dataclasses.replace(tiny_records[0], comments=None)
     pred = tiny_model.predict(rec)

@@ -2,8 +2,10 @@
 multiplication, naive quadruple-loop convolution, a step-by-step scalar LSTM
 recurrence, closed-form Adam updates, and central finite differences."""
 
+import copy
 import json
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -725,6 +727,61 @@ def test_adam_matches_its_expressions_bit_for_bit_in_place():
 def test_adam_rejects_zero_step_count():
     with pytest.raises(ValueError):
         adam_step([], t=0)
+
+
+# ---------------------------------------------------------------------------
+# Parameter state
+# ---------------------------------------------------------------------------
+
+def test_parameter_holds_no_state_until_read():
+    p = Parameter("p", np.ones((2, 3)))
+    assert set(vars(p)) == {"name", "value"}
+    assert p.m.shape == (2, 3) and not p.m.any()
+    assert set(vars(p)) == {"name", "value", "m"}
+
+
+def test_parameter_grad_accumulates_from_fresh_zeros():
+    d = np.random.default_rng(16).normal(size=(4, 5))
+    p = Parameter("p", np.zeros((4, 5)))
+    p.grad += d
+    assert p.grad.tobytes() == d.tobytes()
+
+
+def test_parameter_drop_state_frees_then_rezeroes():
+    p = Parameter("p", np.ones(3))
+    p.grad += 1.0
+    adam_step([p], lr=0.1, t=1)
+    p.drop_state()
+    assert set(vars(p)) == {"name", "value"}
+    assert not p.grad.any() and not p.m.any() and not p.v.any()
+
+
+def test_parameter_other_names_raise_and_copies_work():
+    p = Parameter("p", np.arange(3.0))
+    assert not hasattr(p, "velocity")
+    for q in (copy.copy(p), copy.deepcopy(p), pickle.loads(pickle.dumps(p))):
+        assert q.name == "p" and q.value.tobytes() == p.value.tobytes()
+        assert set(vars(q)) == {"name", "value"}
+
+
+def test_adam_on_fresh_state_equals_explicit_zero_moments():
+    rng = np.random.default_rng(17)
+    shapes = [(8, 16), (33,), (4, 5, 6)]
+    values = [rng.normal(size=s) for s in shapes]
+    grads = [[rng.normal(size=s) for s in shapes] for _ in range(3)]
+    fresh = [Parameter(f"p{k}", v) for k, v in enumerate(values)]
+    explicit = [Parameter(f"p{k}", v) for k, v in enumerate(values)]
+    for p in explicit:
+        p.grad, p.m, p.v = (np.zeros_like(p.value) for _ in range(3))
+    for t, step in enumerate(grads, start=1):
+        for params in (fresh, explicit):
+            for p, g in zip(params, step):
+                p.zero_grad()
+                p.grad += g
+            adam_step(params, lr=0.3, t=t)
+    for a, b in zip(fresh, explicit):
+        for attr in ("value", "m", "v"):
+            assert getattr(a, attr).tobytes() == getattr(b, attr).tobytes()
 
 
 # ---------------------------------------------------------------------------

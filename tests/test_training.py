@@ -68,6 +68,51 @@ def test_head_only_freezes_exactly_the_encoders(tiny_records, tiny_split, tiny_p
     assert changed == {n for n in model.params if n.startswith("head.")}
 
 
+def test_head_only_runs_no_encoder_backward(tiny_records, tiny_split, tiny_prepared,
+                                            monkeypatch):
+    calls = []
+    for m, kind in encoders.ENCODERS.items():
+        def spy(d_out, cache, params, m=m, kind=kind):
+            calls.append(m)
+            kind.backward(d_out, cache, params)
+        monkeypatch.setitem(encoders.ENCODERS, m, dataclasses.replace(kind, backward=spy))
+    cfg = quick_config(max_epochs=1)
+    pretrained = BaitRadarModel.build(
+        cfg.modalities, tiny_prepared.vocab, tiny_prepared.stats_norm, cfg.encoder, seed=79,
+    )
+    train(tiny_records, tiny_split, dataclasses.replace(cfg, regime="head_only"),
+          init=pretrained, prepared=tiny_prepared)
+    assert calls == []
+    train(tiny_records, tiny_split, dataclasses.replace(cfg, regime="finetune"),
+          init=pretrained, prepared=tiny_prepared)
+    assert set(calls) == set(cfg.modalities)
+
+
+def test_head_only_checkpoint_equals_one_that_backpropagates_everything(
+        tiny_records, tiny_split, tiny_prepared, monkeypatch):
+    cfg = quick_config(max_epochs=2, regime="head_only")
+    pretrained = BaitRadarModel.build(
+        cfg.modalities, tiny_prepared.vocab, tiny_prepared.stats_norm, cfg.encoder, seed=80,
+    )
+    skipping, _ = train(tiny_records, tiny_split, cfg, init=pretrained, prepared=tiny_prepared)
+    backward = BaitRadarModel.backward
+    monkeypatch.setattr(BaitRadarModel, "backward",
+                        lambda self, d_probs, cache, frozen=(): backward(self, d_probs, cache))
+    full, _ = train(tiny_records, tiny_split, cfg, init=pretrained, prepared=tiny_prepared)
+    assert dumps(skipping) == dumps(full)
+
+
+def test_trained_model_holds_no_grads_or_moments(tiny_records, tiny_split, tiny_prepared):
+    for regime, init in (("scratch", None), ("head_only", "pretrained")):
+        cfg = quick_config(max_epochs=1, regime=regime)
+        if init:
+            init = BaitRadarModel.build(cfg.modalities, tiny_prepared.vocab,
+                                        tiny_prepared.stats_norm, cfg.encoder, seed=81)
+        model, _ = train(tiny_records, tiny_split, cfg, init=init, prepared=tiny_prepared)
+        for p in model.params.values():
+            assert set(vars(p)) == {"name", "value"}, (regime, p.name)
+
+
 def test_finetune_starts_from_init_and_moves_everything(tiny_records, tiny_split, tiny_prepared):
     cfg = quick_config(max_epochs=2)
     pretrained = BaitRadarModel.build(
