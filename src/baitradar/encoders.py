@@ -97,8 +97,12 @@ class StatsNormalizer:
 
 
 def prepare_thumbnail(img: ThumbnailImage, size: int = 64) -> np.ndarray:
-    """Nearest-neighbor resize to size x size, channels-first uint8."""
+    """Nearest-neighbor resize to size x size, channels-first uint8. An image
+    already size x size needs no resize: its payload is a read-only view of
+    the image's own bytes. Any other size is copied into a new array."""
     px = img.as_array()
+    if img.height == img.width == size:
+        return px.transpose(2, 0, 1)
     rows = (np.arange(size) * img.height) // size
     cols = (np.arange(size) * img.width) // size
     return px[rows][:, cols].transpose(2, 0, 1).copy()
@@ -263,7 +267,7 @@ ENCODERS: dict[str, EncoderKind] = {
         init=lambda m, vocab_size, cfg, rng: init_thumbnail_params(cfg, rng),
         featurize=_thumbnail_payload,
         forward=lambda m, payloads, params, cfg: encode_thumbnail_forward(
-            np.stack(payloads).astype(np.float64) / 255.0, params, cfg),
+            np.divide(np.stack(payloads), 255.0, dtype=np.float64), params, cfg),
         backward=lambda d_out, cache, params: encode_thumbnail_backward(d_out, cache, params),
     ),
     "statistics": EncoderKind(

@@ -225,6 +225,8 @@ def test_resize_then_encode_always_yields_fusion_dim(w, h):
                          data=rng.integers(0, 256, w * h * 3).astype("u1").tobytes())
     px = prepare_thumbnail(img, CFG.thumb_size)
     assert px.shape == (3, CFG.thumb_size, CFG.thumb_size)
+    if (w, h) != (CFG.thumb_size, CFG.thumb_size):  # a resize makes a new array
+        assert px.flags.owndata and px.flags.c_contiguous
     params = params_of(init_thumbnail_params(CFG, rng))
     out, _ = encode_thumbnail_forward(px[None].astype(np.float64) / 255.0, params, CFG)
     assert out.shape == (1, CFG.fusion_dim)
@@ -236,6 +238,27 @@ def test_prepare_thumbnail_identity_at_native_size():
     img = ThumbnailImage(width=16, height=16, data=raw.tobytes())
     px = prepare_thumbnail(img, 16)
     np.testing.assert_array_equal(px, raw.reshape(16, 16, 3).transpose(2, 0, 1))
+
+
+def test_native_size_thumbnail_is_a_read_only_view_of_its_pixels():
+    rng = np.random.default_rng(9)
+    img = ThumbnailImage(width=16, height=16,
+                         data=rng.integers(0, 256, 16 * 16 * 3).astype("u1").tobytes())
+    px = prepare_thumbnail(img, 16)
+    assert np.shares_memory(px, np.frombuffer(img.data, np.uint8))
+    assert not px.flags.writeable
+    with pytest.raises(ValueError):
+        px[0, 0, 0] = 1
+
+
+def test_thumbnail_batch_scales_to_float64_like_astype():
+    rng = np.random.default_rng(11)
+    payloads = [rng.integers(0, 256, (3, 16, 16)).astype("u1") for _ in range(4)]
+    values = init_thumbnail_params(CFG, rng)
+    out, _ = ENCODERS["thumbnail"].forward("thumbnail", payloads, params_of(values), CFG)
+    expected, _ = encode_thumbnail_forward(
+        np.stack(payloads).astype(np.float64) / 255.0, params_of(values), CFG)
+    assert out.tobytes() == expected.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -236,6 +236,21 @@ def test_text_only_training_from_disk_never_opens_a_thumbnail(tiny_records, tiny
         assert set(feats.inputs) <= set(cfg.modalities)
 
 
+def test_native_size_thumbnails_are_prepared_without_a_pixel_copy(tiny_records, tiny_split):
+    """Generated thumbnails are already the default encoder's size, so each
+    payload is a view of its record's own pixel bytes."""
+    cfg = quick_config(encoder=EncoderConfig(), modalities=("thumbnail",))
+    prepared = prepare_corpus(tiny_records, tiny_split, cfg)
+    by_id = {r.id: r for r in tiny_records}
+    payloads = [(by_id[i], f.inputs["thumbnail"]) for i, f in prepared.features.items()
+                if "thumbnail" in f.inputs]
+    assert payloads
+    for record, px in payloads:
+        pixels = np.frombuffer(record.thumbnail_image.data, np.uint8)
+        assert px.shape == (3, cfg.encoder.thumb_size, cfg.encoder.thumb_size)
+        assert np.shares_memory(px, pixels), record.id
+
+
 def test_prepared_corpus_lacking_a_trained_modality_is_refused(tiny_records, tiny_split):
     prepared = prepare_corpus(tiny_records, tiny_split, quick_config(modalities=("title",)))
     with pytest.raises(TrainingError, match="thumbnail"):
