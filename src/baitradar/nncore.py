@@ -164,11 +164,15 @@ def lstm_forward(x, wx, wh, b, lengths):
     step order, and nothing is held for a step past a row's length, so the
     arrays hold sum(lengths) rows, not steps x B. The input GEMM fills
     ``act[sum(lengths), 4H]`` and each step activates its gates in place
-    there, so the cache keeps activations, not pre-activations. The state
-    histories ``hs`` and ``cs`` lead with a block of B zero rows, the state
-    entering step 0. The state entering step t is then the first n_live[t]
-    rows of step t-1's block, and a row's final state sits at its sorted
-    position in its last step's block (in the zero block for length 0).
+    there, so the cache keeps activations, not pre-activations. The cell
+    history ``cs`` leads with a block of B zero rows, the cell state entering
+    step 0; the cell state entering step t is then the first n_live[t] rows
+    of step t-1's block. The hidden state is kept only as it runs, in one
+    [B,H] buffer: step t reads its first n_live[t] rows and overwrites them,
+    so each row's final state stays at its sorted position (zero for length
+    0). The backward rebuilds tanh(c) and the hidden history o * tanh(c)
+    from ``cs`` and ``act`` with the same ufuncs on the same values, so the
+    cache holds neither and the gradients keep their bits.
     """
     x, wx, wh, b = as_f64(x), as_f64(wx), as_f64(wh), as_f64(b)
     lengths = np.asarray(lengths, dtype=np.int64)
@@ -208,17 +212,17 @@ def lstm_forward(x, wx, wh, b, lengths):
     act += b * scale
     wh_scaled = wh * scale
 
-    hs = np.zeros((batch + len(rows), hidden))
+    h_run = np.zeros((batch, hidden))
+    tanh_c = np.empty((batch, hidden))
     cs = np.zeros((batch + len(rows), hidden))
-    tanh_cs = np.empty((len(rows), hidden))
     bounds = start.tolist()
     for t, n in enumerate(sizes[1:].tolist()):
-        # step t reads block t and writes block t+1; act and tanh_cs have no
-        # zero block, so their rows sit B earlier
+        # step t reads block t of cs and writes block t+1; act has no zero
+        # block, so its rows sit B earlier
         s, out = bounds[t], bounds[t + 1]
         p = out - batch
         z = act[p : p + n]
-        z += hs[s : s + n] @ wh_scaled
+        z += h_run[:n] @ wh_scaled
         np.tanh(z, out=z)
         sig = z[:, : 3 * hidden]
         sig += 1.0
@@ -229,11 +233,10 @@ def lstm_forward(x, wx, wh, b, lengths):
         g = z[:, 3 * hidden :]
         c = np.multiply(f, cs[s : s + n], out=cs[out : out + n])
         c += i * g
-        tanh_c = np.tanh(c, out=tanh_cs[p : p + n])
-        np.multiply(o, tanh_c, out=hs[out : out + n])
+        np.multiply(o, np.tanh(c, out=tanh_c[:n]), out=h_run[:n])
     h = np.empty((batch, hidden))
-    h[order] = np.take(hs, start[sorted_len] + np.arange(batch), axis=0)
-    cache = (xt, wx, wh, order, rows, sizes, start, act, cs, tanh_cs, hs)
+    h[order] = h_run
+    cache = (xt, wx, wh, order, rows, sizes, start, act, cs)
     return h, cache
 
 
@@ -247,7 +250,7 @@ def lstm_backward(d_h, cache):
     each one GEMM or sum over the packed rows after the loop. The input
     gradient comes back in x's layout.
     """
-    xt, wx, wh, order, rows, sizes, start, act, cs, tanh_cs, hs = cache
+    xt, wx, wh, order, rows, sizes, start, act, cs = cache
     batch = len(order)
     hidden = wh.shape[0]
     d_h = as_f64(d_h)[order]
@@ -259,6 +262,7 @@ def lstm_backward(d_h, cache):
     np.subtract(1.0, act[:, : 3 * hidden], out=dz_all[:, : 3 * hidden])
     g_part = np.square(act[:, 3 * hidden :], out=dz_all[:, 3 * hidden :])
     np.subtract(1.0, g_part, out=g_part)
+    tanh_cs = np.tanh(cs[batch:])
     d_tanh_c = 1.0 - tanh_cs**2
     d_act = np.empty((batch, 4 * hidden))
     bounds = start.tolist()
@@ -284,8 +288,11 @@ def lstm_backward(d_h, cache):
         np.matmul(dz, wh.T, out=dh_t)
         dc_t *= f
     d_b = dz_all.sum(axis=0)
-    # packed row p of step t entered it with the state at p + B - sizes[t],
+    # the hidden history o * tanh(c), behind the B zero rows that enter step
+    # 0: packed row p of step t entered it with the state at p + B - sizes[t],
     # offset k of block t
+    hs = np.zeros((batch + len(rows), hidden))
+    np.multiply(act[:, 2 * hidden : 3 * hidden], tanh_cs, out=hs[batch:])
     h_in = hs[np.arange(len(rows)) + np.repeat(batch - sizes[:-1], sizes[1:])]
     d_wh = h_in.T @ dz_all
     d_wx = xt.T @ dz_all
@@ -472,8 +479,10 @@ def max_pool2d_backward(d_out, cache):
 
 
 def relu_forward(x):
-    x = as_f64(x)
-    return np.maximum(x, 0.0), x
+    """max(x, 0), cached as itself: out > 0 exactly where x > 0, NaN and
+    signed zeros included, so the backward's mask needs no copy of x."""
+    out = np.maximum(as_f64(x), 0.0)
+    return out, out
 
 
 def relu_backward(d_out, cache):

@@ -321,6 +321,136 @@ def test_lstm_shape_errors():
             lstm_forward(np.zeros(x_shape), *w, np.array(lengths))
 
 
+def reference_lstm_forward(x, wx, wh, b, lengths):
+    """The packed LSTM as it ran when it cached the hidden history ``hs`` and
+    ``tanh_cs``, both written step by step in the loop; inputs are valid."""
+    batch, hidden = len(lengths), wh.shape[0]
+    order = np.argsort(-lengths, kind="stable")
+    sorted_len = lengths[order]
+    steps = int(sorted_len[0]) if batch else 0
+    t_minus_1 = np.arange(-1, steps)
+    sizes = np.searchsorted(-sorted_len, -t_minus_1, side="left")
+    start = np.cumsum(sizes) - sizes
+    step = t_minus_1[1:, None]
+    rows = ((np.cumsum(lengths) - lengths)[order] + step)[step < sorted_len]
+    xt = x[rows]
+    scale = np.full(4 * hidden, 0.5)
+    scale[3 * hidden :] = 1.0
+    act = xt @ (wx * scale)
+    act += b * scale
+    wh_scaled = wh * scale
+    hs = np.zeros((batch + len(rows), hidden))
+    cs = np.zeros((batch + len(rows), hidden))
+    tanh_cs = np.empty((len(rows), hidden))
+    bounds = start.tolist()
+    for t, n in enumerate(sizes[1:].tolist()):
+        s, out = bounds[t], bounds[t + 1]
+        p = out - batch
+        z = act[p : p + n]
+        z += hs[s : s + n] @ wh_scaled
+        np.tanh(z, out=z)
+        sig = z[:, : 3 * hidden]
+        sig += 1.0
+        sig *= 0.5
+        i, f, o, g = (z[:, k * hidden : (k + 1) * hidden] for k in range(4))
+        c = np.multiply(f, cs[s : s + n], out=cs[out : out + n])
+        c += i * g
+        tanh_c = np.tanh(c, out=tanh_cs[p : p + n])
+        np.multiply(o, tanh_c, out=hs[out : out + n])
+    h = np.empty((batch, hidden))
+    h[order] = np.take(hs, start[sorted_len] + np.arange(batch), axis=0)
+    return h, (xt, wx, wh, order, rows, sizes, start, act, cs, tanh_cs, hs)
+
+
+def reference_lstm_backward(d_h, cache):
+    xt, wx, wh, order, rows, sizes, start, act, cs, tanh_cs, hs = cache
+    batch, hidden = len(order), wh.shape[0]
+    d_h = d_h[order]
+    d_c = np.zeros_like(d_h)
+    dz_all = np.empty_like(act)
+    np.subtract(1.0, act[:, : 3 * hidden], out=dz_all[:, : 3 * hidden])
+    g_part = np.square(act[:, 3 * hidden :], out=dz_all[:, 3 * hidden :])
+    np.subtract(1.0, g_part, out=g_part)
+    d_tanh_c = 1.0 - tanh_cs**2
+    d_act = np.empty((batch, 4 * hidden))
+    bounds = start.tolist()
+    live = sizes[1:].tolist()
+    for t in reversed(range(len(live))):
+        n, s, p = live[t], bounds[t], bounds[t + 1] - batch
+        z = act[p : p + n]
+        i, f, o = (z[:, k * hidden : (k + 1) * hidden] for k in range(3))
+        dh_t = d_h[:n]
+        dc_t = d_c[:n]
+        dc_t += dh_t * o * d_tanh_c[p : p + n]
+        da = d_act[:n]
+        np.multiply(dc_t, z[:, 3 * hidden :], out=da[:, :hidden])
+        np.multiply(dc_t, cs[s : s + n], out=da[:, hidden : 2 * hidden])
+        np.multiply(dh_t, tanh_cs[p : p + n], out=da[:, 2 * hidden : 3 * hidden])
+        np.multiply(dc_t, i, out=da[:, 3 * hidden :])
+        da[:, : 3 * hidden] *= z[:, : 3 * hidden]
+        dz = dz_all[p : p + n]
+        dz *= da
+        np.matmul(dz, wh.T, out=dh_t)
+        dc_t *= f
+    d_b = dz_all.sum(axis=0)
+    h_in = hs[np.arange(len(rows)) + np.repeat(batch - sizes[:-1], sizes[1:])]
+    d_wh = h_in.T @ dz_all
+    d_wx = xt.T @ dz_all
+    dx = np.empty_like(xt)
+    dx[rows] = dz_all @ wx.T
+    return dx, d_wx, d_wh, d_b
+
+
+def lstm_case(seed):
+    """Seeded LSTM inputs: B in 1-39, lengths in 0-119, and in a quarter of
+    the cases only 0-2 steps, so batches of zero-length and one-step rows
+    come up; E and H small and varied."""
+    rng = np.random.default_rng(seed)
+    batch = int(rng.integers(1, 40))
+    top = 3 if seed % 4 == 0 else 120
+    lengths = rng.integers(0, top, size=batch)
+    in_dim, hidden = int(rng.integers(1, 9)), int(rng.integers(1, 9))
+    x = rng.normal(size=(int(lengths.sum()), in_dim))
+    wx = rng.normal(size=(in_dim, 4 * hidden)) * 0.5
+    wh = rng.normal(size=(hidden, 4 * hidden)) * 0.5
+    b = rng.normal(size=4 * hidden) * 0.5
+    return (x, wx, wh, b, lengths), rng.normal(size=(batch, hidden))
+
+
+@pytest.mark.parametrize("seed", range(0, 40, 5))
+def test_lstm_keeps_the_bits_of_the_history_caching_reference(seed):
+    """Rebuilding tanh(c) and o * tanh(c) in the backward runs the same
+    ufuncs on the same values as caching them: h and all four gradients are
+    byte-equal to the reference."""
+    for case in range(seed, seed + 5):
+        inputs, d_h = lstm_case(case)
+        h, cache = lstm_forward(*inputs)
+        ref_h, ref_cache = reference_lstm_forward(*inputs)
+        assert h.tobytes() == ref_h.tobytes(), case
+        got = nncore.lstm_backward(d_h, cache)
+        expected = reference_lstm_backward(d_h, ref_cache)
+        for name, a, e in zip(("dx", "d_wx", "d_wh", "d_b"), got, expected):
+            assert a.shape == e.shape and a.tobytes() == e.tobytes(), (case, name)
+
+
+def test_lstm_cache_holds_no_hidden_history():
+    """At a training shape the float arrays the cache owns are the permuted
+    inputs xt[Σ,E], the gate activations act[Σ,4H] and the cell history
+    cs[B+Σ,H], nothing more; the weights are the caller's own arrays."""
+    rng = np.random.default_rng(31)
+    batch, in_dim, hidden = 32, 32, 64
+    lengths = np.clip(np.rint(rng.normal(60, 8, size=batch)), 1, None).astype(np.int64)
+    total = int(lengths.sum())
+    wx, wh = rng.normal(size=(in_dim, 4 * hidden)), rng.normal(size=(hidden, 4 * hidden))
+    _, cache = lstm_forward(rng.normal(size=(total, in_dim)), wx, wh, np.zeros(4 * hidden),
+                            lengths)
+    owned = [a for a in cached_arrays(cache)
+             if a.dtype == np.float64 and not np.shares_memory(a, wx)
+             and not np.shares_memory(a, wh)]
+    bound = 8 * (total * (4 * hidden + in_dim) + (batch + total) * hidden)
+    assert sum(a.nbytes for a in owned) <= bound
+
+
 # ---------------------------------------------------------------------------
 # conv / pool / relu
 # ---------------------------------------------------------------------------
@@ -591,6 +721,16 @@ def test_relu_clamps_and_gates():
     out, cache = relu_forward(x)
     np.testing.assert_array_equal(out, [0.0, 0.0, 2.0])
     np.testing.assert_array_equal(nncore.relu_backward(np.ones(3), cache), [0.0, 0.0, 1.0])
+
+
+def test_relu_caches_its_output():
+    """The cache is the output itself, which the next layer already holds,
+    and its mask equals the input's, NaN and signed zeros included."""
+    x = np.array([[-2.0, -0.0, 0.0, 1e-300, np.nan, 3.0]])
+    out, cache = relu_forward(x)
+    assert np.shares_memory(cache, out) and not np.shares_memory(cache, x)
+    d_out = np.arange(1.0, 7.0)[None]
+    np.testing.assert_array_equal(nncore.relu_backward(d_out, cache), d_out * (x > 0.0))
 
 
 # ---------------------------------------------------------------------------
