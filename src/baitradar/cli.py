@@ -378,7 +378,7 @@ def main(argv=None) -> int:
     except _UsageError as e:
         print(f"baitradar {args.command}: error: {e}", file=sys.stderr)
         return 1
-    except (ValueError, OSError) as e:
+    except (ValueError, OSError, MemoryError) as e:
         print(f"baitradar {args.command}: error: {e}", file=sys.stderr)
         return 2
 

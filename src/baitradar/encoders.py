@@ -185,10 +185,7 @@ def encode_thumbnail_forward(pixels, params, cfg: EncoderConfig):
     Each conv max-pools its output itself, image by image. Max-pooling before
     ReLU gives exactly relu(conv) pooled, as both are monotone, and ReLU then
     runs on the pooled quarter of the tensor."""
-    x = nncore.as_f64(pixels)
-    if x.ndim != 4 or x.shape[1] != 3:
-        raise nncore.ShapeError(f"thumbnail encoder expects [B,3,S,S], got {x.shape}")
-    conv_caches = []
+    x, conv_caches = pixels, []
     for conv in _THUMBNAIL_CONVS:
         x, conv_cache = nncore.conv2d_forward(
             x, params[f"{conv}.kernels"].value, params[f"{conv}.bias"].value,

@@ -305,10 +305,10 @@ def lstm_backward(d_h, cache):
 # convolution / pooling / relu
 # ---------------------------------------------------------------------------
 
-def _offset_view(x, a: int, b_: int, stride: int, out_h: int, out_w: int):
-    """The [..., out_h, out_w] view of x that holds element (a, b_) of every
-    window placed at ``stride``; at (0, 0) it holds the window origins."""
-    return x[..., a : a + out_h * stride : stride, b_ : b_ + out_w * stride : stride]
+def _offset_view(x, a: int, b_: int, size: int, out_h: int, out_w: int):
+    """The [..., out_h, out_w] view of x that holds offset (a, b_) of every
+    size x size window placed at stride size."""
+    return x[..., a : a + out_h * size : size, b_ : b_ + out_w * size : size]
 
 
 def _lowered_images(x, kh: int, kw: int, span: int):
@@ -316,11 +316,11 @@ def _lowered_images(x, kh: int, kw: int, span: int):
     kernel row: rows[a][c*kw + b, p] = x[img, c].flat[p + a*W + b].
 
     Element (a, b) of the window at output (i, j) sits at flat index
-    o + a*W + b of a row-major [H,W] image, where o = (i*W + j)*stride < span
-    is the window's origin, so the conv and its gradients are sums over shifts
-    of the flat image. Lowering by the kw column shifts only (Cho & Brand 2017,
+    o + a*W + b of a row-major [H,W] image, where o = i*W + j < span is the
+    window's origin, so the conv and its gradients are sums over shifts of
+    the flat image. Lowering by the kw column shifts only (Cho & Brand 2017,
     "MEC: Memory-efficient Convolution") leaves each row shift a*W a slice,
-    inside the image as (out_h-1)*stride <= H-kh. The lists share one buffer.
+    inside the image as out_h - 1 <= H - kh. The lists share one buffer.
     """
     batch, chans, height, width = x.shape
     x_low = np.empty((chans, kw, span + (kh - 1) * width))
@@ -330,15 +330,16 @@ def _lowered_images(x, kh: int, kw: int, span: int):
         yield [x_low[:, :, a * width : a * width + span].reshape(-1, span) for a in range(kh)]
 
 
-def conv2d_forward(x, kernels, bias, stride: int = 1, pool: int = 1):
-    """Valid cross-correlation: x[B,C,H,W] * kernels[K,C,kh,kw] + bias[K],
-    max-pooled over pool x pool windows at stride pool when pool > 1.
+def conv2d_forward(x, kernels, bias, pool: int = 1):
+    """Valid stride-1 cross-correlation x[B,C,H,W] * kernels[K,C,kh,kw] +
+    bias[K], max-pooled over pool x pool windows at stride pool (pool=1
+    copies every value).
 
     Per image, the kh GEMMs k_rows[a] @ rows[a] on its ``_lowered_images``
     sum kernel row by kernel row into a flat [K, H*W] grid, read at the window
-    origins. A pooled image is pooled from one reused [K, oh, ow] buffer while
-    it is in cache, so no [B, K, oh, ow] conv output is made. The cache keeps
-    x and, when pooled, each window's winning offset.
+    origins, and are pooled from one reused [K, oh, ow] buffer while it is in
+    cache, so no [B, K, oh, ow] conv output is made. The cache keeps x and
+    each pooling window's winning offset.
     """
     x, kernels, bias = as_f64(x), as_f64(kernels), as_f64(bias)
     if x.ndim != 4 or kernels.ndim != 4 or x.shape[1] != kernels.shape[1]:
@@ -349,54 +350,47 @@ def conv2d_forward(x, kernels, bias, stride: int = 1, pool: int = 1):
         raise ShapeError(f"conv2d: bias{bias.shape} does not match {n_k} kernels")
     if kh > height or kw > width:
         raise ShapeError(f"conv2d: kernel {kh}x{kw} larger than input {height}x{width}")
-    if stride < 1:
-        raise ShapeError(f"conv2d: stride must be >= 1, got {stride}")
-    out_h = (height - kh) // stride + 1
-    out_w = (width - kw) // stride + 1
+    out_h, out_w = height - kh + 1, width - kw + 1
     if not 1 <= pool <= min(out_h, out_w):
         raise ShapeError(f"conv2d: pool must be in [1, {min(out_h, out_w)}] for a "
                          f"{out_h}x{out_w} output, got {pool}")
 
-    span = ((out_h - 1) * width + out_w - 1) * stride + 1
+    span = (out_h - 1) * width + out_w
     k_rows = kernels.transpose(2, 0, 1, 3).reshape(kh, n_k, chans * kw)
     grid = np.empty((n_k, height * width))
-    origins = _offset_view(grid.reshape(n_k, height, width), 0, 0, stride, out_h, out_w)
+    origins = grid.reshape(n_k, height, width)[:, :out_h, :out_w]
     bias = bias[:, None, None]
     out = np.empty((batch, n_k, out_h // pool, out_w // pool))
-    arg = _pool_arg(out.shape, pool) if pool > 1 else None
-    conv = np.empty(origins.shape) if pool > 1 else None
+    arg = _pool_arg(out.shape, pool)
+    conv = np.empty(origins.shape)
     for img, rows in enumerate(_lowered_images(x, kh, kw, span)):
         acc = np.matmul(k_rows[0], rows[0], out=grid[:, :span])
         for a in range(1, kh):
             acc += k_rows[a] @ rows[a]
-        if pool > 1:
-            np.add(origins, bias, out=conv)
-            _pool_into(conv, pool, out[img], arg[img])
-        else:
-            np.add(origins, bias, out=out[img])
-    cache = (x, kernels, stride, (out_h, out_w), pool, arg)
-    return out, cache
+        np.add(origins, bias, out=conv)
+        _pool_into(conv, pool, out[img], arg[img])
+    return out, (x, kernels, pool, arg)
 
 
 def conv2d_backward(d_out, cache, need_dx: bool = True):
     """Gradients for conv2d_forward, one image at a time on its lowering.
 
-    d_out is spread onto a flat [K, H*W] grid at the window origins (d_grid,
-    zero elsewhere; a pooled d_out goes to each pooling window's winning
-    origin only). d_bias sums that origin view, d_kernels[:, :, a] gathers
-    d_grid @ rows[a].T, and dx[c] gathers kernels[:, c, a, b] . d_grid
-    shifted the other way: kh GEMMs each.
+    Each pooling window's d_out goes to its winning window origin on a flat
+    [K, H*W] grid (d_grid, zero elsewhere). d_bias sums that origin view,
+    d_kernels[:, :, a] gathers d_grid @ rows[a].T, and dx[c] gathers
+    kernels[:, c, a, b] . d_grid shifted the other way: kh GEMMs each.
 
     Pass need_dx=False for a first layer whose input (raw pixels) is not
     trainable, to skip the input gradient.
     """
-    x, kernels, stride, (out_h, out_w), pool, arg = cache
+    x, kernels, pool, arg = cache
     batch, chans, height, width = x.shape
     n_k, _, kh, kw = kernels.shape
     d_out = as_f64(d_out)
-    span = ((out_h - 1) * width + out_w - 1) * stride + 1
+    out_h, out_w = height - kh + 1, width - kw + 1
+    span = (out_h - 1) * width + out_w
     d_grid = np.zeros((n_k, height * width))
-    origins = _offset_view(d_grid.reshape(n_k, height, width), 0, 0, stride, out_h, out_w)
+    origins = d_grid.reshape(n_k, height, width)[:, :out_h, :out_w]
     d_bias = np.zeros(n_k)
     d_kernels = np.zeros((n_k, chans, kh, kw))
     if need_dx:
@@ -404,12 +398,9 @@ def conv2d_backward(d_out, cache, need_dx: bool = True):
         k_rows = kernels.transpose(2, 1, 0, 3).reshape(kh, chans, n_k * kw)
         dx = np.zeros((batch, chans, height * width))
     for img, rows in enumerate(_lowered_images(x, kh, kw, span)):
-        if arg is None:
-            origins[...] = d_out[img]
-        else:
-            # the windows tile the same origins in every image, and the
-            # origins outside them stay zero
-            _unpool_into(origins, d_out[img], arg[img], pool)
+        # the windows tile the same origins in every image, and the origins
+        # outside them stay zero
+        _unpool_into(origins, d_out[img], arg[img], pool)
         d_bias += origins.sum(axis=(1, 2))
         for a in range(kh):
             d_kernels[:, :, a] += (d_grid[:, :span] @ rows[a].T).reshape(n_k, chans, kw)

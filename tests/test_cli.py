@@ -1,8 +1,16 @@
 import json
+import os
+import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from baitradar.checkpoint import MAGIC
 from baitradar.cli import main
+
+from test_checkpoint import _with_crc
 
 
 def run(argv):
@@ -322,6 +330,33 @@ def test_deeply_nested_corpus_exits_2_with_one_line(trained, tmp_path, capsys):
     assert run(["predict", "--model", str(trained), "--in", str(bad)]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "line 1" in err
+
+
+_CLI_IN_4_GIB = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (4 << 30, 4 << 30))
+from baitradar.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def test_out_of_memory_exits_2_with_one_line(trained, tmp_path):
+    """A checkpoint with a valid checksum whose metadata asks for a 10**9-wide
+    fusion layer: building its model fails in a 4 GiB address space."""
+    payload = trained.read_bytes()[len(MAGIC) : -4]
+    (meta_len,) = struct.unpack_from("<Q", payload, 4)
+    meta = json.loads(payload[12 : 12 + meta_len])
+    meta["encoder"]["fusion_dim"] = 10**9
+    raw = json.dumps(meta).encode("utf-8")
+    huge = tmp_path / "huge.ckpt"
+    huge.write_bytes(_with_crc(payload[:4] + struct.pack("<Q", len(raw)) + raw
+                               + payload[12 + meta_len :]))
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    proc = subprocess.run([sys.executable, "-c", _CLI_IN_4_GIB, "predict", "--model", str(huge),
+                           "--title", "t"], env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("baitradar predict: error: ")
+    assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
 
 
 def test_malformed_corpus_exits_2(trained, tmp_path):

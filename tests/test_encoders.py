@@ -218,6 +218,36 @@ def test_thumbnail_pool_before_relu_is_exact():
         assert p.grad.tobytes() == ref_params[name].grad.tobytes(), name
 
 
+def test_thumbnail_directional_derivatives_at_model_shapes():
+    """g.v against a central difference along one seeded unit direction per
+    parameter, at the default EncoderConfig: four 64x64 images, 5x5 kernels,
+    pool 2. About one seed in five steps across a ReLU or max-pool kink and
+    misses by far more than 1e-6; at this seed no step does."""
+    cfg = EncoderConfig()
+    rng = np.random.default_rng(0)
+    values = init_thumbnail_params(cfg, rng)
+    for conv, c_out in zip(("thumbnail.conv1", "thumbnail.conv2"), cfg.conv_channels):
+        values[f"{conv}.bias"] = rng.normal(size=c_out) * 0.1
+    px = rng.uniform(size=(4, 3, cfg.thumb_size, cfg.thumb_size))
+    proj = rng.normal(size=(4, cfg.fusion_dim))
+
+    def loss(values):
+        out, _ = encode_thumbnail_forward(px, params_of(values), cfg)
+        return float((out * proj).sum())
+
+    params = params_of(values)
+    _, cache = encode_thumbnail_forward(px, params, cfg)
+    encode_thumbnail_backward(proj, cache, params)
+    step = 1e-5
+    for name, value in values.items():
+        v = rng.normal(size=value.shape)
+        v /= np.linalg.norm(v)
+        analytic = float((params[name].grad * v).sum())
+        numeric = (loss({**values, name: value + step * v})
+                   - loss({**values, name: value - step * v})) / (2 * step)
+        assert abs(analytic - numeric) <= 1e-6 * max(abs(analytic), abs(numeric)), name
+
+
 @pytest.mark.parametrize("w,h", [(16, 16), (120, 90), (1280, 720)])
 def test_resize_then_encode_always_yields_fusion_dim(w, h):
     rng = np.random.default_rng(8)

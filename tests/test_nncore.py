@@ -455,11 +455,10 @@ def test_lstm_cache_holds_no_hidden_history():
 # conv / pool / relu
 # ---------------------------------------------------------------------------
 
-def naive_conv_oracle(x, kernels, bias, stride=1):
+def naive_conv_oracle(x, kernels, bias):
     batch, chans, height, width = x.shape
     n_k, _, kh, kw = kernels.shape
-    out_h = (height - kh) // stride + 1
-    out_w = (width - kw) // stride + 1
+    out_h, out_w = height - kh + 1, width - kw + 1
     out = np.zeros((batch, n_k, out_h, out_w))
     for n in range(batch):
         for k in range(n_k):
@@ -469,9 +468,19 @@ def naive_conv_oracle(x, kernels, bias, stride=1):
                     for c in range(chans):
                         for a in range(kh):
                             for b_ in range(kw):
-                                acc += x[n, c, i * stride + a, j * stride + b_] * kernels[k, c, a, b_]
+                                acc += x[n, c, i + a, j + b_] * kernels[k, c, a, b_]
                     out[n, k, i, j] = acc + bias[k]
     return out
+
+
+def naive_pool_windows(conv, pool):
+    """Each pool x pool window of conv at stride pool, as (its index in the
+    pooled output, the index in conv of its first maximum in row-major order)."""
+    batch, n_k, height, width = conv.shape
+    for n, k, i, j in np.ndindex(batch, n_k, height // pool, width // pool):
+        window = conv[n, k, i * pool : (i + 1) * pool, j * pool : (j + 1) * pool]
+        a, b_ = np.unravel_index(np.argmax(window), window.shape)
+        yield (n, k, i, j), (n, k, i * pool + a, j * pool + b_)
 
 
 def test_conv_identity_kernel():
@@ -485,47 +494,32 @@ def test_conv_all_ones_box():
     np.testing.assert_array_equal(out, np.full((1, 1, 2, 2), 9.0))
 
 
-@pytest.mark.parametrize("shape,kshape,stride", [
+@pytest.mark.parametrize("shape,kshape,pool", [
     ((2, 3, 5, 6), (4, 3, 3, 3), 1),
     ((1, 2, 7, 7), (3, 2, 3, 3), 2),
     ((2, 1, 6, 4), (2, 1, 2, 2), 2),
-    # stride above the kernel size: out_h * stride = 9 > H = 8
+    # the 7x8 conv output's last row and last two columns lie in no window
     ((2, 2, 8, 9), (3, 2, 2, 2), 3),
 ])
-def test_conv_matches_naive_oracle(shape, kshape, stride):
-    rng = np.random.default_rng(hash((shape, kshape, stride)) % 2**32)
+def test_conv_matches_naive_oracle(shape, kshape, pool):
+    rng = np.random.default_rng(hash((shape, kshape, pool)) % 2**32)
     x = rng.normal(size=shape)
     k = rng.normal(size=kshape)
     b = rng.normal(size=kshape[0])
-    out, _ = conv2d_forward(x, k, b, stride=stride)
-    np.testing.assert_allclose(out, naive_conv_oracle(x, k, b, stride), atol=1e-12, rtol=0)
-
-
-def test_conv_backward_stride_two_matches_finite_differences():
-    rng = np.random.default_rng(21)
-    x = Parameter("x", rng.normal(size=(2, 2, 7, 8)))
-    kernels = Parameter("kernels", rng.normal(size=(3, 2, 3, 3)))
-    bias = Parameter("bias", rng.normal(size=3))
-    proj = rng.normal(size=(2, 3, 3, 3))
-
-    def loss_fn():
-        out, cache = conv2d_forward(x.value, kernels.value, bias.value, stride=2)
-        dx, dk, db = conv2d_backward(proj, cache)
-        x.grad += dx
-        kernels.grad += dk
-        bias.grad += db
-        return float((out * proj).sum())
-
-    report = grad_check(loss_fn, [x, kernels, bias])
-    assert report.max_rel_err <= 1e-4, report.per_param
+    out, _ = conv2d_forward(x, k, b, pool=pool)
+    conv = naive_conv_oracle(x, k, b)
+    expected = np.empty(out.shape)
+    for o, c in naive_pool_windows(conv, pool):
+        expected[o] = conv[c]
+    np.testing.assert_allclose(out, expected, atol=1e-12, rtol=0)
 
 
 def test_conv_backward_without_dx_keeps_weight_gradients():
     rng = np.random.default_rng(22)
     x = rng.normal(size=(2, 3, 9, 9))
     kernels = rng.normal(size=(4, 3, 3, 3))
-    _, cache = conv2d_forward(x, kernels, rng.normal(size=4), stride=2)
-    d_out = rng.normal(size=(2, 4, 4, 4))
+    _, cache = conv2d_forward(x, kernels, rng.normal(size=4))
+    d_out = rng.normal(size=(2, 4, 7, 7))
     dx, dk, db = conv2d_backward(d_out, cache)
     none, dk_only, db_only = conv2d_backward(d_out, cache, need_dx=False)
     assert dx.shape == x.shape
@@ -534,7 +528,7 @@ def test_conv_backward_without_dx_keeps_weight_gradients():
     np.testing.assert_array_equal(db_only, db)
 
 
-def naive_conv_grads(x, kernels, d_out, stride):
+def naive_conv_grads(x, kernels, d_out):
     """Window-by-window gradients of the convolution: each output's upstream
     gradient reaches the kernel through its window of x, and the window of dx
     through the kernel."""
@@ -542,26 +536,30 @@ def naive_conv_grads(x, kernels, d_out, stride):
     dx = np.zeros(x.shape)
     d_kernels = np.zeros(kernels.shape)
     for n, k, i, j in np.ndindex(*d_out.shape):
-        window = (n, slice(None), slice(i * stride, i * stride + kh), slice(j * stride, j * stride + kw))
+        window = (n, slice(None), slice(i, i + kh), slice(j, j + kw))
         d_kernels[k] += d_out[n, k, i, j] * x[window]
         dx[window] += d_out[n, k, i, j] * kernels[k]
     return dx, d_kernels, d_out.sum(axis=(0, 2, 3))
 
 
 @pytest.mark.parametrize("batch", [1, 3, 5, 11])
-# at stride 3 the stride is above kw = 2, and out_w * stride = 9 > W = 8
-@pytest.mark.parametrize("stride", [1, 2, 3])
+# at pools 2 and 3 the 7x7 conv output's last row and column lie in no window
+@pytest.mark.parametrize("pool", [1, 2, 3])
 @pytest.mark.parametrize("need_dx", [True, False])
-def test_conv_matches_window_by_window_reference(batch, stride, need_dx):
-    rng = np.random.default_rng(batch * 10 + stride)
+def test_conv_matches_window_by_window_reference(batch, pool, need_dx):
+    rng = np.random.default_rng(batch * 10 + pool)
     x = rng.normal(size=(batch, 2, 9, 8))
     kernels = rng.normal(size=(3, 2, 3, 2))
     bias = rng.normal(size=3)
-    out, cache = conv2d_forward(x, kernels, bias, stride=stride)
-    np.testing.assert_allclose(out, naive_conv_oracle(x, kernels, bias, stride), rtol=1e-12, atol=1e-12)
+    out, cache = conv2d_forward(x, kernels, bias, pool=pool)
     d_out = rng.normal(size=out.shape)
+    conv = naive_conv_oracle(x, kernels, bias)
+    expected, d_conv = np.empty(out.shape), np.zeros(conv.shape)
+    for o, c in naive_pool_windows(conv, pool):
+        expected[o], d_conv[c] = conv[c], d_out[o]
+    np.testing.assert_allclose(out, expected, rtol=1e-12, atol=1e-12)
     dx, dk, db = conv2d_backward(d_out, cache, need_dx=need_dx)
-    ref_dx, ref_dk, ref_db = naive_conv_grads(x, kernels, d_out, stride)
+    ref_dx, ref_dk, ref_db = naive_conv_grads(x, kernels, d_conv)
     np.testing.assert_allclose(dk, ref_dk, rtol=1e-12, atol=1e-12)
     np.testing.assert_allclose(db, ref_db, rtol=1e-12, atol=1e-12)
     if need_dx:
@@ -617,7 +615,7 @@ def test_pooled_conv_equals_conv_then_pool_bit_for_bit(x_shape, k_shape):
     if conv.shape[-1] % 2:
         # the last conv row and column lie in no window
         assert not d_conv[..., -1, :].any() and not d_conv[..., :, -1].any()
-        for got, expected in zip(grads, naive_conv_grads(x, kernels, d_conv, 1)):
+        for got, expected in zip(grads, naive_conv_grads(x, kernels, d_conv)):
             np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-12)
 
 
