@@ -88,6 +88,7 @@ def _int_at_least(low: int):
 
 _seed = _int_at_least(0)
 _vocab_size = _int_at_least(2)  # PAD and UNK
+_min_freq = _int_at_least(1)
 
 
 def _build_parser() -> _Parser:
@@ -112,7 +113,7 @@ def _build_parser() -> _Parser:
     v.add_argument("--seed", type=_seed, default=0)
     v.add_argument("--channel-disjoint", action="store_true")
     v.add_argument("--max-size", type=_vocab_size, default=textpipe.DEFAULT_VOCAB_SIZE)
-    v.add_argument("--min-freq", type=int, default=textpipe.DEFAULT_MIN_FREQ)
+    v.add_argument("--min-freq", type=_min_freq, default=textpipe.DEFAULT_MIN_FREQ)
 
     def add_train_flags(sp):
         sp.add_argument("--config", help="JSON file with TrainConfig fields")
@@ -126,7 +127,7 @@ def _build_parser() -> _Parser:
         sp.add_argument("--modality-keep-prob", type=float)
         sp.add_argument("--fusion-dim", type=int)
         sp.add_argument("--vocab-max-size", type=_vocab_size)
-        sp.add_argument("--vocab-min-freq", type=int)
+        sp.add_argument("--vocab-min-freq", type=_min_freq)
         sp.add_argument("--channel-disjoint", action="store_true")
 
     t = sub.add_parser("train", help="train a model")

@@ -105,12 +105,32 @@ def dense_stack_backward(d_out, cache, params):
 # dense
 # ---------------------------------------------------------------------------
 
+# GEMMs that contract over up to this many terms gave the same bits at 1 and 2
+# threads on OpenBLAS 0.3.31 at the model's shapes; the thumbnail projection's
+# 2,704 and the LSTM weight gradients' Σ lengths did not. A bound measured for
+# that build, not a guarantee; the thread case of the artifact test in
+# tests/test_training.py guards it.
+_SUM_CHUNK = 256
+
+
+def _fixed_order_matmul(a, b):
+    """a[M,K] @ b[K,N], summed over K in fixed chunks of ``_SUM_CHUNK``: the
+    first chunk's product, then each later chunk's added in order. BLAS may
+    split a longer contraction by its thread count, which changes the
+    summation order and so the bits. For K <= ``_SUM_CHUNK`` this is one
+    ``a @ b``."""
+    out = a[:, :_SUM_CHUNK] @ b[:_SUM_CHUNK]
+    for k in range(_SUM_CHUNK, a.shape[1], _SUM_CHUNK):
+        out += a[:, k : k + _SUM_CHUNK] @ b[k : k + _SUM_CHUNK]
+    return out
+
+
 def dense_forward(x, w, b):
     """x[B,I] @ w[I,O] + b[O] -> out[B,O]."""
     x, w, b = as_f64(x), as_f64(w), as_f64(b)
     if x.ndim != 2 or w.ndim != 2 or x.shape[1] != w.shape[0] or b.shape != (w.shape[1],):
         raise ShapeError(f"dense: x{x.shape} w{w.shape} b{b.shape} do not conform")
-    return x @ w + b, (x, w)
+    return _fixed_order_matmul(x, w) + b, (x, w)
 
 
 def dense_backward(d_out, cache):
@@ -294,8 +314,8 @@ def lstm_backward(d_h, cache):
     hs = np.zeros((batch + len(rows), hidden))
     np.multiply(act[:, 2 * hidden : 3 * hidden], tanh_cs, out=hs[batch:])
     h_in = hs[np.arange(len(rows)) + np.repeat(batch - sizes[:-1], sizes[1:])]
-    d_wh = h_in.T @ dz_all
-    d_wx = xt.T @ dz_all
+    d_wh = _fixed_order_matmul(h_in.T, dz_all)
+    d_wx = _fixed_order_matmul(xt.T, dz_all)
     dx = np.empty_like(xt)
     dx[rows] = dz_all @ wx.T
     return dx, d_wx, d_wh, d_b

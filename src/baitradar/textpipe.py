@@ -87,6 +87,8 @@ def build_vocab(corpus_texts, max_size: int = DEFAULT_VOCAB_SIZE,
     """
     if max_size < 2:
         raise ValueError(f"max_size must be >= 2, got {max_size}")
+    if min_freq < 1:
+        raise ValueError(f"min_freq must be >= 1, got {min_freq}")
     freq: dict[str, int] = {}
     for text in corpus_texts:
         for tok in tokenize(text):

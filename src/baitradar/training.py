@@ -42,15 +42,16 @@ class TrainConfig:
     loss_threshold: float = 0.05
     patience: int = 10
     seed: int = 0
-    # per-record chance of keeping each present modality during scratch
-    # training; None disables the dropout entirely
+    # per-record chance of keeping each present modality during training, in
+    # every regime; None disables the dropout entirely
     modality_keep_prob: float | None = None
     vocab_max_size: int = textpipe.DEFAULT_VOCAB_SIZE
     vocab_min_freq: int = textpipe.DEFAULT_MIN_FREQ
     encoder: EncoderConfig = field(default_factory=EncoderConfig)
 
     def __post_init__(self):
-        check_fields(self, TrainingError, ("batch_size", "max_epochs", "patience"))
+        check_fields(self, TrainingError,
+                     ("batch_size", "max_epochs", "patience", "vocab_min_freq"))
         if self.regime not in REGIMES:
             raise TrainingError(f"unknown regime {self.regime!r}, expected one of {REGIMES}")
         if not self.loss_threshold > 0:

@@ -219,6 +219,7 @@ def test_unknown_flag_exits_1(capsys):
     ('{"adam_eps": 0}', "adam_eps must be finite and > 0"),
     ('{"seed": -1}', "seed must be >= 0"),
     ('{"vocab_max_size": 1}', "vocab_max_size must be >= 2"),
+    ('{"vocab_min_freq": 0}', "field 'vocab_min_freq' must be >= 1"),
     pytest.param("[" * 100_000 + "]" * 100_000, "invalid JSON", id="deep-nesting"),
 ])
 def test_malformed_config_exits_1_with_one_line(workdir, tmp_path, capsys, text, named):
@@ -280,6 +281,8 @@ def test_invalid_training_flag_exits_1_with_one_line(workdir, tmp_path, capsys, 
     (["train", "--out", "m", "--init", "m.ckpt"], "scratch regime must not receive init weights"),
     (["train", "--out", "m", "--regime", "head_only"], "'head_only' needs pretrained init weights"),
     (["train", "--out", "m", "--regime", "finetune"], "'finetune' needs pretrained init weights"),
+    (["build-vocab", "--out", "v.txt", "--min-freq", "0"], "--min-freq: must be >= 1"),
+    (["train", "--out", "m", "--vocab-min-freq", "-1"], "--vocab-min-freq: must be >= 1"),
 ])
 def test_bad_flag_value_exits_1_with_one_line_before_reading_data(tmp_path, capsys, monkeypatch,
                                                                    argv, named):

@@ -71,6 +71,20 @@ def test_dense_matches_loop_oracle():
     np.testing.assert_allclose(out, matmul_oracle(x, w, b), atol=1e-12, rtol=0)
 
 
+@pytest.mark.parametrize("k", [1, 255, 256, 257, 512, 2704])
+def test_fixed_order_matmul_sums_every_chunk_once(k):
+    """Up to one chunk it is plain ``a @ b``, bit for bit; past that, a chunk
+    dropped or added twice at a boundary would be far outside 1e-12."""
+    rng = np.random.default_rng(k)
+    for m, n in ((1, 64), (64, 256)):
+        a, b = rng.normal(size=(m, k)), rng.normal(size=(k, n))
+        got, want = nncore._fixed_order_matmul(a, b), a @ b
+        if k <= 256:
+            assert got.tobytes() == want.tobytes(), (m, n)
+        else:
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
+
+
 def test_dense_shape_mismatch():
     with pytest.raises(nncore.ShapeError):
         dense_forward(np.zeros((2, 3)), np.zeros((4, 2)), np.zeros(2))
@@ -394,8 +408,10 @@ def reference_lstm_backward(d_h, cache):
         dc_t *= f
     d_b = dz_all.sum(axis=0)
     h_in = hs[np.arange(len(rows)) + np.repeat(batch - sizes[:-1], sizes[1:])]
-    d_wh = h_in.T @ dz_all
-    d_wx = xt.T @ dz_all
+    # the weight grads sum in lstm_backward's order: this reference pins the
+    # rebuilt hidden history, not the contraction order
+    d_wh = nncore._fixed_order_matmul(h_in.T, dz_all)
+    d_wx = nncore._fixed_order_matmul(xt.T, dz_all)
     dx = np.empty_like(xt)
     dx[rows] = dz_all @ wx.T
     return dx, d_wx, d_wh, d_b

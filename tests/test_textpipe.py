@@ -65,6 +65,11 @@ def test_build_vocab_rejects_tiny_max_size():
         build_vocab(["a"], max_size=1, min_freq=1)
 
 
+def test_build_vocab_rejects_min_freq_below_one():
+    with pytest.raises(ValueError, match="min_freq"):
+        build_vocab(["a"], max_size=4, min_freq=0)
+
+
 @settings(max_examples=50, deadline=None)
 @given(st.lists(st.text(alphabet="abc d", max_size=12), max_size=8), st.randoms())
 def test_build_vocab_order_free(texts, rnd):

@@ -284,20 +284,18 @@ def test_dropout_training_runs_and_is_deterministic(tiny_records, tiny_split, ti
     assert dumps(a) == dumps(b)
 
 
-# trains in a fresh interpreter and writes the checkpoint and report.jsonl bytes
+# trains in a fresh interpreter and writes the checkpoint and report.jsonl
+# bytes; the default EncoderConfig, since its thumbnail projection contracts
+# over 2,704 inputs, where a BLAS thread count could change the summation order
 _TRAIN_IN_CHILD = """
 import sys
 from pathlib import Path
 from baitradar.checkpoint import dumps
 from baitradar.corpus import SyntheticConfig, generate_synthetic, split_dataset
-from baitradar.encoders import EncoderConfig
 from baitradar.training import TrainConfig, train
 
-records = generate_synthetic(SyntheticConfig(n_records=40, seed=5))
-encoder = EncoderConfig(fusion_dim=8, embed_dim=6, conv_channels=(2, 3), conv_kernel=3,
-                        pool_size=2, thumb_size=16, stats_hidden=6, head_hidden=6)
-cfg = TrainConfig(seed=5, encoder=encoder, vocab_min_freq=1, batch_size=8, max_epochs=2,
-                  modality_keep_prob=0.7)
+records = generate_synthetic(SyntheticConfig(n_records=60, seed=5))
+cfg = TrainConfig(seed=5, vocab_min_freq=1, batch_size=32, max_epochs=1, modality_keep_prob=0.7)
 model, report = train(records, split_dataset(records, seed=5), cfg)
 out = Path(sys.argv[1])
 (out / "model.ckpt").write_bytes(dumps(model))
@@ -306,19 +304,20 @@ out = Path(sys.argv[1])
 
 
 def test_training_artifacts_do_not_depend_on_the_hash_seed(tmp_path):
-    """Artifacts are byte-stable across processes for a fixed BLAS thread
-    count; string hashing, which differs per process, must not leak in."""
+    """Artifacts are byte-stable across processes: string hashing, which
+    differs per process, must not leak in, and neither must the BLAS thread
+    count."""
     src = Path(__file__).resolve().parent.parent / "src"
     outputs = []
-    for hash_seed in ("1", "2"):
-        out = tmp_path / hash_seed
+    for hash_seed, threads in (("1", "1"), ("2", "1"), ("1", "2")):
+        out = tmp_path / f"{hash_seed}-{threads}"
         out.mkdir()
-        env = dict(os.environ, PYTHONHASHSEED=hash_seed, OPENBLAS_NUM_THREADS="1",
-                   PYTHONPATH=str(src))
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads, PYTHONPATH=str(src))
         subprocess.run([sys.executable, "-c", _TRAIN_IN_CHILD, str(out)], env=env,
                        check=True, timeout=300)
         outputs.append([(out / name).read_bytes() for name in ("model.ckpt", "report.jsonl")])
-    assert outputs[0] == outputs[1]
+    assert outputs[0] == outputs[1] == outputs[2]
 
 
 def test_config_validation():
@@ -354,7 +353,7 @@ def test_config_validation():
     ("lr", -1.0), ("lr", float("nan")), ("lr", float("inf")),
     ("beta1", 1.0), ("beta1", -0.1), ("beta2", 1.0), ("beta2", float("nan")),
     ("adam_eps", 0.0), ("adam_eps", float("inf")),
-    ("seed", -1), ("vocab_max_size", 1),
+    ("seed", -1), ("vocab_max_size", 1), ("vocab_min_freq", 0), ("vocab_min_freq", -1),
 ])
 def test_out_of_range_optimizer_and_setup_values_rejected(field, value):
     with pytest.raises(TrainingError, match=field):
@@ -362,7 +361,8 @@ def test_out_of_range_optimizer_and_setup_values_rejected(field, value):
 
 
 def test_range_edges_accepted():
-    TrainConfig(lr=0.0, beta1=0.0, beta2=0.0, adam_eps=1e-300, seed=0, vocab_max_size=2)
+    TrainConfig(lr=0.0, beta1=0.0, beta2=0.0, adam_eps=1e-300, seed=0, vocab_max_size=2,
+                vocab_min_freq=1)
 
 
 # ---------------------------------------------------------------------------
