@@ -216,7 +216,10 @@ def check_whole_model(seed: int = 109) -> GradCheckReport:
         model.backward(nncore.binary_cross_entropy_grad(probs, labels), cache)
         return nncore.binary_cross_entropy(probs, labels)
 
-    return grad_check(loss_fn, model.parameters(), h=1e-4)
+    def probe_fn():
+        return nncore.binary_cross_entropy(model.forward_features(feats, masks)[0], labels)
+
+    return grad_check(loss_fn, model.parameters(), h=1e-4, probe_fn=probe_fn)
 
 
 ALL_CHECKS = (

@@ -51,6 +51,22 @@ def featurize_record(record: VideoRecord, vocab: Vocabulary, stats_norm: StatsNo
     return Features(id=record.id, label=label, inputs=inputs)
 
 
+def run_encoders(modalities, inputs: list[dict], masks: list[ModalityMask], params,
+                 config: EncoderConfig):
+    """Runs each of ``modalities`` (canonical order) on the batch rows whose
+    mask holds it. ``inputs[i]`` maps row i's modalities to their payloads.
+    Returns ``{m: (rows, out [len(rows), d])}`` for every modality some row
+    holds, and ``{m: encoder cache}``."""
+    encoded: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+    caches: dict[str, tuple] = {}
+    for m in modalities:
+        rows = np.flatnonzero([getattr(mask, m) for mask in masks])
+        if rows.size:
+            out, caches[m] = ENCODERS[m].forward(m, [inputs[i][m] for i in rows], params, config)
+            encoded[m] = (rows, out)
+    return encoded, caches
+
+
 class BaitRadarModel:
     """Parameters plus frozen preprocessing for a chosen modality subset.
 
@@ -122,30 +138,38 @@ class BaitRadarModel:
 
     # -- batched forward/backward --------------------------------------------
 
+    def encode(self, feats: list[Features], masks: list[ModalityMask]):
+        """Each modality's ``(rows, out)`` in canonical order, and the encoder
+        caches; see ``run_encoders``."""
+        return run_encoders(self.modalities, [f.inputs for f in feats], masks,
+                            self.params, self.config)
+
+    def fuse_head(self, encoded, n_rows: int):
+        """Probabilities of ``n_rows`` rows from ``encode``'s output: the
+        fusion average, then the head."""
+        fused, n_present = fusion.fuse_batch(encoded, n_rows, self.config.fusion_dim)
+        probs, head_cache = fusion.head_forward(fused, self.params, self.head_arch, self.head_prefix)
+        rows = {m: r for m, (r, _) in encoded.items()}
+        return probs, (rows, n_present, head_cache)
+
+    def fuse_head_backward(self, d_probs, cache) -> dict[str, np.ndarray]:
+        """Accumulates the head's grads; returns each encoder's output grad."""
+        rows, n_present, head_cache = cache
+        d_fused = fusion.head_backward(d_probs, head_cache, self.params)
+        return fusion.fuse_batch_backward(d_fused, rows, n_present)
+
     def forward_features(self, feats: list[Features], masks: list[ModalityMask]):
         """Probabilities for a batch. ``masks`` gives the effective modality
         mask per row (already intersected with availability)."""
-        encoded: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-        enc_caches: dict[str, tuple] = {}
-        for m in self.modalities:
-            rows = np.flatnonzero([getattr(mask, m) for mask in masks])
-            if rows.size:
-                out, enc_caches[m] = ENCODERS[m].forward(
-                    m, [feats[i].inputs[m] for i in rows], self.params, self.config)
-                encoded[m] = (rows, out)
-        fused, n_present = fusion.fuse_batch(encoded, len(feats), self.config.fusion_dim)
-        probs, head_cache = fusion.head_forward(fused, self.params, self.head_arch, self.head_prefix)
-        rows = {m: r for m, (r, _) in encoded.items()}
-        return probs, (rows, enc_caches, n_present, head_cache)
+        encoded, enc_caches = self.encode(feats, masks)
+        probs, cache = self.fuse_head(encoded, len(feats))
+        return probs, (enc_caches, cache)
 
-    def backward(self, d_probs, cache, frozen=frozenset()) -> None:
-        """Accumulates parameter grads; the encoders of the ``frozen``
-        modalities are not back-propagated into."""
-        rows, enc_caches, n_present, head_cache = cache
-        d_fused = fusion.head_backward(d_probs, head_cache, self.params)
-        for m, d_out in fusion.fuse_batch_backward(d_fused, rows, n_present).items():
-            if m not in frozen:
-                ENCODERS[m].backward(d_out, enc_caches[m], self.params)
+    def backward(self, d_probs, cache) -> None:
+        """Accumulates every parameter's grads."""
+        enc_caches, fused_cache = cache
+        for m, d_out in self.fuse_head_backward(d_probs, fused_cache).items():
+            ENCODERS[m].backward(d_out, enc_caches[m], self.params)
 
     # -- inference ------------------------------------------------------------
 

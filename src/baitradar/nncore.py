@@ -583,14 +583,16 @@ class GradCheckReport:
         return self.max_rel_err <= tol
 
 
-def grad_check(loss_fn, params, h: float = 1e-5) -> GradCheckReport:
+def grad_check(loss_fn, params, h: float = 1e-5, probe_fn=None) -> GradCheckReport:
     """Compare analytic gradients with central finite differences.
 
     ``loss_fn()`` must run the fragment forward, return the scalar loss, and
     leave the analytic gradient of each listed Parameter in its .grad slot
     (grads are zeroed here before the analytic call). Every parameter element
-    is probed at +-h; the relative error is |ga - gn| / max(|ga|, |gn|, 1e-8).
+    is probed at +-h with ``probe_fn()``, a forward-only loss that defaults
+    to ``loss_fn``; the relative error is |ga - gn| / max(|ga|, |gn|, 1e-8).
     """
+    probe_fn = probe_fn or loss_fn
     params = list(params)
     for p in params:
         p.zero_grad()
@@ -609,9 +611,9 @@ def grad_check(loss_fn, params, h: float = 1e-5) -> GradCheckReport:
         for k in range(flat.size):
             orig = flat[k]
             flat[k] = orig + h
-            up = float(loss_fn())
+            up = float(probe_fn())
             flat[k] = orig - h
-            down = float(loss_fn())
+            down = float(probe_fn())
             flat[k] = orig
             gn.reshape(-1)[k] = (up - down) / (2.0 * h)
         if not np.isfinite(gn).all():

@@ -10,11 +10,11 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from . import nncore, textpipe
+from . import encoder_groups, nncore, textpipe
 from .corpus import DatasetSplit, check_fields, select_records
 from .encoders import EncoderConfig, StatsNormalizer
 from .fusion import PROBABILITY_THRESHOLD
-from .model import BaitRadarModel, Features, featurize_record
+from .model import SCORE_CHUNK, BaitRadarModel, Features, featurize_record
 from .modalities import MODALITIES, ModalityMask
 from .textpipe import Vocabulary
 
@@ -162,12 +162,41 @@ def _labels_of(feats: list[Features], context: str) -> np.ndarray:
     return np.array(labels, dtype=np.float64)
 
 
+def _accuracy(probs: np.ndarray, labels: np.ndarray) -> float:
+    """Accuracy at the decision threshold (ties count as clickbait)."""
+    if not len(probs):
+        return 0.0
+    return int(((probs >= PROBABILITY_THRESHOLD) == labels.astype(bool)).sum()) / len(probs)
+
+
 def batch_accuracy(model: BaitRadarModel, feats: list[Features], masks, labels) -> float:
     """Forward-only accuracy at the decision threshold (ties count as clickbait)."""
-    if not feats:
-        return 0.0
-    hits = (model.score(feats, masks) >= PROBABILITY_THRESHOLD) == labels.astype(bool)
-    return int(hits.sum()) / len(feats)
+    return _accuracy(model.score(feats, masks), labels)
+
+
+def _call(groups, method: str, *args) -> list:
+    """Starts the same call on every encoder group, then waits for each."""
+    for g in groups:
+        g.send(method, *args)
+    return [g.receive() for g in groups]
+
+
+def _merged(model: BaitRadarModel, parts: list[dict]) -> dict:
+    """The groups' encodings of one batch as one dict in canonical order, the
+    order in which the fusion sums them."""
+    encoded = {}
+    for part in parts:
+        encoded.update(part)
+    return {m: encoded[m] for m in model.modalities if m in encoded}
+
+
+def _validation_probs(model: BaitRadarModel, groups, n_val: int) -> np.ndarray:
+    """The validation probabilities ``model.score`` gives, from the groups'
+    chunk encodings."""
+    chunks = zip(*_call(groups, "score"))
+    parts = [model.fuse_head(_merged(model, list(parts)), min(SCORE_CHUNK, n_val - lo))[0]
+             for lo, parts in zip(range(0, n_val, SCORE_CHUNK), chunks)]
+    return np.concatenate(parts) if parts else np.zeros(0)
 
 
 def train(records, split: DatasetSplit, config: TrainConfig,
@@ -225,63 +254,45 @@ def train(records, split: DatasetSplit, config: TrainConfig,
     train_masks = [model.effective_mask(r, None) for r in select_records(records, split.train)]
     val_masks = [model.effective_mask(r, None) for r in select_records(records, split.validation)]
 
-    trainable = model.parameters(trainable_only_head=config.regime == "head_only")
-    # encoders with no trainable parameter (all of them under head_only)
-    frozen = {m for m in model.modalities
-              if not any(p.name.startswith(m + ".") for p in trainable)}
-    n_train = len(train_feats)
+    head = model.parameters(trainable_only_head=True)
+    encoder_params = {n: p for n, p in model.params.items()
+                      if not n.startswith(model.head_prefix + ".")}
     losses: list[float] = []
     val_accs: list[float] = []
     best_acc, best_values, best_epoch = -1.0, None, 0
     stale = 0
-    adam_t = 0
     stop_reason = STOP_MAX_EPOCHS
 
-    for epoch in range(1, config.max_epochs + 1):
-        order = np.random.default_rng([config.seed, epoch]).permutation(n_train)
-        drop_rng = (
-            np.random.default_rng([config.seed, epoch, 1])
-            if config.modality_keep_prob is not None else None
-        )
-        loss_sum = 0.0
-        for b_start in range(0, n_train, config.batch_size):
-            rows = order[b_start : b_start + config.batch_size]
-            feats = [train_feats[i] for i in rows]
-            masks = [train_masks[i] for i in rows]
-            if drop_rng is not None:
-                masks = [_drop_modalities(m, drop_rng, config.modality_keep_prob) for m in masks]
-            labels = train_labels[rows]
-            probs, cache = model.forward_features(feats, masks)
-            loss = nncore.binary_cross_entropy(probs, labels)
-            if not np.isfinite(loss):
-                raise TrainingError(
-                    f"non-finite loss at epoch {epoch}, batch {b_start // config.batch_size}"
-                )
-            for p in trainable:
-                p.zero_grad()
-            model.backward(nncore.binary_cross_entropy_grad(probs, labels), cache, frozen)
-            adam_t += 1
-            nncore.adam_step(trainable, config.lr, config.beta1, config.beta2,
-                             config.adam_eps, adam_t)
-            loss_sum += loss * len(rows)
-        epoch_loss = loss_sum / n_train
-        val_acc = batch_accuracy(model, val_feats, val_masks, val_labels)
-        losses.append(epoch_loss)
-        val_accs.append(val_acc)
+    try:
+        with encoder_groups.open_groups(
+                model.modalities, encoder_params, config.regime != "head_only",
+                config.encoder, _adam_settings(config), [f.inputs for f in train_feats],
+                [f.inputs for f in val_feats], val_masks) as groups:
+            for epoch in range(1, config.max_epochs + 1):
+                epoch_loss = _train_epoch(model, groups, head, config, epoch,
+                                          train_masks, train_labels)
+                val_acc = _accuracy(_validation_probs(model, groups, len(val_feats)), val_labels)
+                losses.append(epoch_loss)
+                val_accs.append(val_acc)
 
-        if val_acc > best_acc:
-            stale = 0
-        else:
-            stale += 1
-        if val_acc >= best_acc:
-            best_acc, best_values, best_epoch = val_acc, model.copy_param_values(), epoch
+                if val_acc > best_acc:
+                    stale = 0
+                else:
+                    stale += 1
+                if val_acc >= best_acc:
+                    best_acc, best_epoch = val_acc, epoch
+                    best_values = {p.name: p.value.copy() for p in head}
+                    for values in _call(groups, "values"):
+                        best_values.update(values)
 
-        if epoch_loss <= config.loss_threshold:
-            stop_reason = STOP_LOSS_THRESHOLD
-            break
-        if stale >= config.patience:
-            stop_reason = STOP_PATIENCE
-            break
+                if epoch_loss <= config.loss_threshold:
+                    stop_reason = STOP_LOSS_THRESHOLD
+                    break
+                if stale >= config.patience:
+                    stop_reason = STOP_PATIENCE
+                    break
+    except encoder_groups.WorkerError as exc:
+        raise TrainingError(str(exc)) from exc
 
     if best_values is not None:
         model.load_param_values(best_values)
@@ -294,6 +305,56 @@ def train(records, split: DatasetSplit, config: TrainConfig,
         wall_time_s=time.perf_counter() - t_start,
     )
     return model, report
+
+
+def _adam_settings(config: TrainConfig) -> tuple[float, float, float, float]:
+    return config.lr, config.beta1, config.beta2, config.adam_eps
+
+
+def _train_epoch(model: BaitRadarModel, groups, head, config: TrainConfig, epoch: int,
+                 train_masks, train_labels) -> float:
+    """One shuffled pass over the training records; returns the mean loss.
+    The groups run the encoders, and this process the modality dropout,
+    fusion, head, loss and the head's Adam step."""
+    n_train = len(train_masks)
+    order = np.random.default_rng([config.seed, epoch]).permutation(n_train)
+    drop_rng = (
+        np.random.default_rng([config.seed, epoch, 1])
+        if config.modality_keep_prob is not None else None
+    )
+    batches = [order[lo : lo + config.batch_size] for lo in range(0, n_train, config.batch_size)]
+
+    def send_forward(rows):
+        masks = [train_masks[i] for i in rows]
+        if drop_rng is not None:
+            masks = [_drop_modalities(m, drop_rng, config.modality_keep_prob) for m in masks]
+        for g in groups:
+            g.send("forward", rows, masks)
+
+    send_forward(batches[0])
+    loss_sum = 0.0
+    for k, rows in enumerate(batches):
+        encoded = _merged(model, [g.receive() for g in groups])
+        probs, cache = model.fuse_head(encoded, len(rows))
+        labels = train_labels[rows]
+        loss = nncore.binary_cross_entropy(probs, labels)
+        if not np.isfinite(loss):
+            raise TrainingError(f"non-finite loss at epoch {epoch}, batch {k}")
+        for p in head:
+            p.zero_grad()
+        d_outs = model.fuse_head_backward(nncore.binary_cross_entropy_grad(probs, labels), cache)
+        adam_t = (epoch - 1) * len(batches) + k + 1
+        for g in groups:
+            g.send("step", {m: d_outs[m] for m in g.modalities if m in d_outs}, adam_t)
+        if k + 1 < len(batches):
+            # queued behind the step, so a worker goes from its backward
+            # straight into the next forward
+            send_forward(batches[k + 1])
+        nncore.adam_step(head, *_adam_settings(config), adam_t)
+        for g in groups:
+            g.receive()
+        loss_sum += loss * len(rows)
+    return loss_sum / n_train
 
 
 def _drop_modalities(mask: ModalityMask, rng: np.random.Generator,

@@ -223,3 +223,20 @@ def test_score_runs_passes_of_at_most_score_chunk_rows(tiny_model, tiny_records,
     probs = tiny_model.score(feats, masks)
     assert SCORE_CHUNK == 32 and sizes == [32, 8]
     np.testing.assert_array_equal(probs, expected)
+
+
+def test_forward_features_is_encode_then_fusion_and_head(tiny_model, tiny_records):
+    """encode gives each modality's rows and outputs in canonical order, and
+    fuse_head on them gives forward_features' probabilities bit for bit."""
+    feats = [featurize(tiny_model, r) for r in tiny_records[:5]]
+    masks = [ModalityMask.from_names(["tags", "title"]), ModalityMask.from_names(["thumbnail"]),
+             ModalityMask.all(), ModalityMask.from_names(["tags"]),
+             ModalityMask.from_names(["statistics", "title"])]
+    encoded, caches = tiny_model.encode(feats, masks)
+    assert list(encoded) == list(caches) == [
+        "title", "thumbnail", "comments", "audio_transcript", "tags", "statistics"]
+    assert encoded["title"][0].tolist() == [0, 2, 4]
+    assert encoded["tags"][0].tolist() == [0, 2, 3]
+    assert encoded["comments"][0].tolist() == [2]
+    probs, _ = tiny_model.fuse_head(encoded, len(feats))
+    assert probs.tobytes() == tiny_model.forward_features(feats, masks)[0].tobytes()

@@ -958,6 +958,30 @@ def test_grad_check_detects_corrupted_backward():
     assert report.max_rel_err > 0.3
 
 
+def test_grad_check_probes_with_the_forward_only_probe():
+    """The analytic call alone runs ``loss_fn``; each element's two probes
+    run ``probe_fn``, and the report equals the one ``loss_fn`` gives."""
+    rng = np.random.default_rng(15)
+    w = Parameter("w", rng.normal(size=(3, 2)))
+    x = rng.normal(size=(2, 3))
+    proj = rng.normal(size=(2, 2))
+    calls = {"loss": 0, "probe": 0}
+
+    def loss_fn():
+        calls["loss"] += 1
+        out, cache = dense_forward(x, w.value, np.zeros(2))
+        w.grad += dense_backward(proj, cache)[1]
+        return float((out * proj).sum())
+
+    def probe_fn():
+        calls["probe"] += 1
+        return float((dense_forward(x, w.value, np.zeros(2))[0] * proj).sum())
+
+    report = grad_check(loss_fn, [w], probe_fn=probe_fn)
+    assert calls == {"loss": 1, "probe": 2 * w.value.size}
+    assert report == grad_check(loss_fn, [w])
+
+
 def test_grad_check_empty_parameter_list():
     report = grad_check(lambda: 1.0, [])
     assert report == GradCheckReport(per_param={}, max_rel_err=0.0, worst_param=None)

@@ -18,6 +18,7 @@ from baitradar.corpus import (
     split_dataset,
     write_corpus,
 )
+from baitradar.encoder_groups import EncoderGroup
 from baitradar.encoders import ConfigError, EncoderConfig
 from baitradar.modalities import ModalityMask
 from baitradar.model import BaitRadarModel, featurize_record
@@ -95,9 +96,14 @@ def test_head_only_checkpoint_equals_one_that_backpropagates_everything(
         cfg.modalities, tiny_prepared.vocab, tiny_prepared.stats_norm, cfg.encoder, seed=80,
     )
     skipping, _ = train(tiny_records, tiny_split, cfg, init=pretrained, prepared=tiny_prepared)
-    backward = BaitRadarModel.backward
-    monkeypatch.setattr(BaitRadarModel, "backward",
-                        lambda self, d_probs, cache, frozen=(): backward(self, d_probs, cache))
+    step = EncoderGroup.step
+
+    def backpropagating_step(self, d_outs, t):
+        for m, d_out in d_outs.items():
+            encoders.ENCODERS[m].backward(d_out, self._caches[m], self.params)
+        step(self, d_outs, t)
+
+    monkeypatch.setattr(EncoderGroup, "step", backpropagating_step)
     full, _ = train(tiny_records, tiny_split, cfg, init=pretrained, prepared=tiny_prepared)
     assert dumps(skipping) == dumps(full)
 
