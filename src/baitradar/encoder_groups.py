@@ -27,6 +27,7 @@ import pickle
 import subprocess
 import sys
 from pathlib import Path
+from typing import NoReturn
 
 from . import nncore
 from .encoders import ENCODERS, EncoderConfig
@@ -170,7 +171,7 @@ class WorkerGroup:
         except OSError:
             self._fail()
 
-    def _fail(self, worker_traceback: str | None = None):
+    def _fail(self, worker_traceback: str | None = None) -> NoReturn:
         code = self.stop()
         detail = f":\n{worker_traceback}" if worker_traceback else ""
         raise WorkerError(f"encoder worker for {', '.join(self.modalities)} "

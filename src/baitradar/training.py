@@ -194,8 +194,8 @@ def _validation_probs(model: BaitRadarModel, groups, n_val: int) -> np.ndarray:
     """The validation probabilities ``model.score`` gives, from the groups'
     chunk encodings."""
     chunks = zip(*_call(groups, "score"))
-    parts = [model.fuse_head(_merged(model, list(parts)), min(SCORE_CHUNK, n_val - lo))[0]
-             for lo, parts in zip(range(0, n_val, SCORE_CHUNK), chunks)]
+    parts = [model.fuse_head(_merged(model, list(chunk)), min(SCORE_CHUNK, n_val - lo))[0]
+             for lo, chunk in zip(range(0, n_val, SCORE_CHUNK), chunks)]
     return np.concatenate(parts) if parts else np.zeros(0)
 
 
