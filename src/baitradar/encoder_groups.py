@@ -33,12 +33,25 @@ from . import nncore
 from .encoders import ENCODERS, EncoderConfig
 from .model import SCORE_CHUNK, run_encoders
 
-# Workers pay off from this many training records. Two workers save about a
-# quarter of a record-epoch, which costs about 4.5 ms in process for the
-# default six-modality model, and starting them, shipping their payloads and
-# stopping them took 0.25-0.40 s (0.47-0.80 s on a slower day), so the split
-# breaks even near 300 record-epochs (2-vCPU VM, OpenBLAS 0.3.31).
-_WORKER_MIN_RECORDS = 512
+# Workers pay off from this much encoder work in one run, counted in
+# _COST_PER_RECORD units (one thumbnail record through forward and backward)
+# over max_epochs epochs: each training record costs its modalities' weights,
+# each validation record (forward only) _FORWARD_SHARE of them. Starting two
+# workers costs a fixed 0.25-0.8 s. With the rule forced each way in 5
+# alternating pairs of one-epoch train() calls on the benchmark's corpora
+# (seed 1, 180 validation records, main process at 2 BLAS threads), the
+# six-modality score-stream records broke even at 256 training records (543
+# units; workers faster in 3 pairs of 5) and trained faster on workers at
+# 384 (764 units) in 4 of 5; the four text encoders of train-text-missing
+# trained slower on workers at 512 records (480 units) in 5 of 5 and faster
+# at 768 (690 units) in 3 of 5 (2-vCPU VM, OpenBLAS 0.3.31). The weights
+# were measured at the default EncoderConfig, and other configs are costed
+# as if they were the default; max_epochs overstates a run that stops early.
+_WORKER_MIN_WORK = 600.0
+# A forward-only pass over a record costs this share of its forward,
+# backward and Adam step: 0.32-0.42 over 640 records of either corpus at the
+# default EncoderConfig, six runs.
+_FORWARD_SHARE = 0.37
 _WORKERS = 2
 # Relative cost of one record through each encoder's forward and backward,
 # timed inside the two workers while both trained: default EncoderConfig,
@@ -178,15 +191,30 @@ class WorkerGroup:
                           f"exited with code {code}{detail}")
 
 
-def _use_workers(n_encoders: int, n_train: int) -> bool:
-    return (n_encoders >= 2 and len(os.sched_getaffinity(0)) >= 2
-            and n_train >= _WORKER_MIN_RECORDS)
+def _usable_cores() -> int:
+    affinity = getattr(os, "sched_getaffinity", None)  # Linux only
+    return len(affinity(0)) if affinity is not None else os.cpu_count() or 1
+
+
+def _costs(modalities, inputs) -> dict[str, float]:
+    """Each modality's estimated cost of one forward and backward over
+    ``inputs``."""
+    return {m: _COST_PER_RECORD[m] * sum(m in x for x in inputs) for m in modalities}
+
+
+def _use_workers(modalities, train_inputs, val_inputs, trainable: bool, max_epochs: int) -> bool:
+    if len(modalities) < 2:
+        return False
+    train_share = 1.0 if trainable else _FORWARD_SHARE
+    work = max_epochs * (train_share * sum(_costs(modalities, train_inputs).values())
+                         + _FORWARD_SHARE * sum(_costs(modalities, val_inputs).values()))
+    return work >= _WORKER_MIN_WORK and _usable_cores() >= 2
 
 
 def _shares(modalities, train_inputs) -> list[tuple[str, ...]]:
     """Greedy longest-first: each modality, costliest first, goes to the
     worker with the least estimated cost so far."""
-    cost = {m: _COST_PER_RECORD[m] * sum(m in x for x in train_inputs) for m in modalities}
+    cost = _costs(modalities, train_inputs)
     shares: list[list[str]] = [[] for _ in range(_WORKERS)]
     loads = [0.0] * _WORKERS
     for m in sorted(modalities, key=lambda m: -cost[m]):
@@ -198,10 +226,12 @@ def _shares(modalities, train_inputs) -> list[tuple[str, ...]]:
 
 @contextlib.contextmanager
 def open_groups(modalities, params: dict[str, nncore.Parameter], trainable: bool,
-                config: EncoderConfig, adam, train_inputs, val_inputs, val_masks):
-    """The encoder groups one training run drives: in process, or in worker
-    processes that are stopped on the way out."""
-    if not _use_workers(len(modalities), len(train_inputs)):
+                config: EncoderConfig, adam, train_inputs, val_inputs, val_masks,
+                max_epochs: int):
+    """The encoder groups a training run of at most ``max_epochs`` epochs
+    drives: in process, or in worker processes that are stopped on the way
+    out."""
+    if not _use_workers(modalities, train_inputs, val_inputs, trainable, max_epochs):
         yield [EncoderGroup(modalities, params, trainable, config, adam,
                             train_inputs, val_inputs, val_masks)]
         return

@@ -267,7 +267,7 @@ def train(records, split: DatasetSplit, config: TrainConfig,
         with encoder_groups.open_groups(
                 model.modalities, encoder_params, config.regime != "head_only",
                 config.encoder, _adam_settings(config), [f.inputs for f in train_feats],
-                [f.inputs for f in val_feats], val_masks) as groups:
+                [f.inputs for f in val_feats], val_masks, config.max_epochs) as groups:
             for epoch in range(1, config.max_epochs + 1):
                 epoch_loss = _train_epoch(model, groups, head, config, epoch,
                                           train_masks, train_labels)

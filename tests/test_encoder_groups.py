@@ -3,6 +3,7 @@ of the in-process path, and a failing worker ends train() with a typed
 error and leaves no process behind."""
 
 import dataclasses
+import math
 import os
 import subprocess
 import sys
@@ -73,6 +74,7 @@ def test_worker_path_gives_the_in_process_bytes(corpus60, monkeypatch):
         (dataclasses.replace(small, regime="finetune"),
          dict(init=pretrained, prepared=prepared)),
     ]
+    monkeypatch.setattr(encoder_groups, "_use_workers", lambda *args: False)
     in_process = [_artifacts(records, split, cfg, **kw) for cfg, kw in runs]
 
     shares = []
@@ -97,8 +99,48 @@ def test_default_rule_trains_small_runs_in_process(corpus60, monkeypatch):
     records, split = corpus60
     train(records, split, TrainConfig(seed=5, vocab_min_freq=1, max_epochs=1,
                                       encoder=SMALL_ENCODER))
-    assert not encoder_groups._use_workers(6, encoder_groups._WORKER_MIN_RECORDS - 1)
-    assert not encoder_groups._use_workers(1, 10**6)
+
+
+def _inputs(modalities, n):
+    return [dict.fromkeys(modalities)] * n
+
+
+def test_the_rule_counts_encoder_work_over_every_epoch(monkeypatch):
+    monkeypatch.setattr(encoder_groups, "_usable_cores", lambda: 2)
+    six = ("title", "thumbnail", "comments", "audio_transcript", "tags", "statistics")
+    per_record = sum(encoder_groups._COST_PER_RECORD.values())
+    # enough training records for one epoch, or half of them over two epochs
+    n = math.ceil(encoder_groups._WORKER_MIN_WORK / per_record)
+    use = encoder_groups._use_workers
+    assert use(six, _inputs(six, n), [], True, 1)
+    assert not use(six, _inputs(six, n - 1), [], True, 1)
+    assert use(six, _inputs(six, math.ceil(n / 2)), [], True, 2)
+    # validation records and frozen encoders run forward only
+    share = encoder_groups._FORWARD_SHARE
+    assert not use(six, [], _inputs(six, n), True, 1)
+    assert use(six, [], _inputs(six, math.ceil(n / share)), True, 1)
+    assert not use(six, _inputs(six, n), [], False, 1)
+    assert use(six, _inputs(six, math.ceil(n / share)), [], False, 1)
+    # the four text encoders cost less per record than the six
+    text = ("title", "comments", "audio_transcript", "tags")
+    assert not use(text, _inputs(text, n), [], True, 1)
+    # one encoder or one core never starts workers
+    assert not use(("thumbnail",), _inputs(("thumbnail",), 10**5), [], True, 300)
+    monkeypatch.setattr(encoder_groups, "_usable_cores", lambda: 1)
+    assert not use(six, _inputs(six, 10**5), [], True, 300)
+
+
+def test_the_rule_reads_the_core_count_where_affinity_is_unknown(corpus60, monkeypatch):
+    """``os.sched_getaffinity`` exists on Linux only."""
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    assert encoder_groups._usable_cores() == 2
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert encoder_groups._usable_cores() == 1
+    records, split = corpus60
+    model, report = train(records, split, TrainConfig(seed=5, vocab_min_freq=1, max_epochs=1,
+                                                      encoder=SMALL_ENCODER))
+    assert report.epochs_run == 1
 
 
 def test_shares_balance_the_measured_costs():
