@@ -2,9 +2,9 @@
 bookkeeping and the fusion average.
 
 An ``EncoderGroup`` holds the encoders of some modalities with their
-parameters and the payloads they read. It runs their forward on a batch,
-their backward and Adam update, forward-only validation, and hands out its
-parameter values. ``train`` drives one group holding every encoder in
+parameters and the payloads they read. It runs their forward on a batch of
+training or validation records, their backward and Adam update, and hands
+out its parameter values. ``train`` drives one group holding every encoder in
 process, or, for a run big enough to pay for it, two ``WorkerGroup``s: the
 same group class run in two worker processes (``python -m
 baitradar.encoder_worker``), each at one BLAS thread. The encoders share
@@ -31,7 +31,7 @@ from typing import NoReturn
 
 from . import nncore
 from .encoders import ENCODERS, EncoderConfig
-from .model import SCORE_CHUNK, run_encoders
+from .model import run_encoders
 
 # Workers pay off from this much encoder work in one run, counted in
 # _COST_PER_RECORD units (one thumbnail record through forward and backward)
@@ -74,21 +74,19 @@ class WorkerError(RuntimeError):
 
 class EncoderGroup:
     """The encoders of ``modalities`` over ``params`` (their Parameters).
-    ``train_inputs[i]`` and ``val_inputs[i]`` map record i's modalities to
-    payloads; ``val_masks`` are the validation masks. With ``trainable``
-    False the encoders are frozen and ``step`` does nothing."""
+    ``inputs[i]`` maps record i's modalities to payloads: the training
+    records, then the validation records. With ``trainable`` False the
+    encoders are frozen and ``step`` does nothing."""
 
     def __init__(self, modalities, params: dict[str, nncore.Parameter], trainable: bool,
                  config: EncoderConfig, adam: tuple[float, float, float, float],
-                 train_inputs: list[dict], val_inputs: list[dict], val_masks):
+                 inputs: list[dict]):
         self.modalities = tuple(modalities)
         self.params = params
         self.trainable = [params[n] for n in sorted(params)] if trainable else []
         self.config = config
         self.adam = adam
-        self.train_inputs = train_inputs
-        self.val_inputs = val_inputs
-        self.val_masks = val_masks
+        self.inputs = inputs
         self._caches: dict[str, tuple] = {}
         self._results: collections.deque = collections.deque()
 
@@ -99,10 +97,10 @@ class EncoderGroup:
         return self._results.popleft()
 
     def forward(self, records, masks):
-        """``run_encoders`` on training records ``records`` under ``masks``;
-        the caches are kept for ``step``."""
+        """``run_encoders`` on records ``records`` under ``masks``; the
+        caches are kept for ``step``."""
         encoded, self._caches = run_encoders(
-            self.modalities, [self.train_inputs[i] for i in records], masks,
+            self.modalities, [self.inputs[i] for i in records], masks,
             self.params, self.config)
         return encoded
 
@@ -116,15 +114,6 @@ class EncoderGroup:
         for m, d_out in d_outs.items():
             ENCODERS[m].backward(d_out, self._caches[m], self.params)
         nncore.adam_step(self.trainable, *self.adam, t)
-
-    def score(self) -> list[dict]:
-        """Forward-only encodings of the validation records, in the chunks of
-        ``SCORE_CHUNK`` rows that ``BaitRadarModel.score`` runs."""
-        return [
-            run_encoders(self.modalities, self.val_inputs[lo : lo + SCORE_CHUNK],
-                         self.val_masks[lo : lo + SCORE_CHUNK], self.params, self.config)[0]
-            for lo in range(0, len(self.val_inputs), SCORE_CHUNK)
-        ]
 
     def values(self) -> dict:
         return {n: p.value.copy() for n, p in self.params.items()}
@@ -145,7 +134,8 @@ class WorkerGroup:
                                      stdout=subprocess.PIPE, env=env)
 
     def start(self, group_args: tuple) -> None:
-        """Sends the ``EncoderGroup`` arguments; ``receive`` confirms it."""
+        """Sends the ``EncoderGroup`` arguments. They are not answered: a
+        worker that cannot build its group says so at the first ``receive``."""
         self._write(group_args)
 
     def send(self, method: str, *args) -> None:
@@ -166,23 +156,23 @@ class WorkerGroup:
             self.proc.stdin.close()
 
     def stop(self) -> int:
-        """Closes the worker's stdin, waits for it to exit and kills it if
-        it does not; returns its exit code."""
+        """Closes the worker's stdin and stdout, so a worker still writing a
+        reply stops too, waits for it to exit and kills it if it does not;
+        returns its exit code."""
         self.close_requests()
+        self.proc.stdout.close()
         try:
             self.proc.wait(timeout=_STOP_TIMEOUT_S)
         except subprocess.TimeoutExpired:
             self.proc.kill()
             self.proc.wait()
-        self.proc.stdout.close()
         return self.proc.returncode
 
     def _write(self, message) -> None:
-        try:
+        # a worker that has stopped reading says why at the next receive
+        with contextlib.suppress(OSError):
             pickle.dump(message, self.proc.stdin, protocol=pickle.HIGHEST_PROTOCOL)
             self.proc.stdin.flush()
-        except OSError:
-            self._fail()
 
     def _fail(self, worker_traceback: str | None = None) -> NoReturn:
         code = self.stop()
@@ -226,18 +216,15 @@ def _shares(modalities, train_inputs) -> list[tuple[str, ...]]:
 
 @contextlib.contextmanager
 def open_groups(modalities, params: dict[str, nncore.Parameter], trainable: bool,
-                config: EncoderConfig, adam, train_inputs, val_inputs, val_masks,
-                max_epochs: int):
+                config: EncoderConfig, adam, inputs, n_train: int, max_epochs: int):
     """The encoder groups a training run of at most ``max_epochs`` epochs
-    drives: in process, or in worker processes that are stopped on the way
-    out."""
-    if not _use_workers(modalities, train_inputs, val_inputs, trainable, max_epochs):
-        yield [EncoderGroup(modalities, params, trainable, config, adam,
-                            train_inputs, val_inputs, val_masks)]
+    drives over ``inputs``, its ``n_train`` training records and then its
+    validation records: in process, or in worker processes that are stopped
+    on the way out."""
+    train_inputs = inputs[:n_train]
+    if not _use_workers(modalities, train_inputs, inputs[n_train:], trainable, max_epochs):
+        yield [EncoderGroup(modalities, params, trainable, config, adam, inputs)]
         return
-
-    def only(share, inputs):
-        return [{m: x[m] for m in share if m in x} for x in inputs]
 
     workers: list[WorkerGroup] = []
     try:
@@ -248,10 +235,7 @@ def open_groups(modalities, params: dict[str, nncore.Parameter], trainable: bool
             share_params = {n: p for n, p in params.items()
                             if n.split(".", 1)[0] in w.modalities}
             w.start((w.modalities, share_params, trainable, config, adam,
-                     only(w.modalities, train_inputs), only(w.modalities, val_inputs),
-                     val_masks))
-        for w in workers:
-            w.receive()
+                     [{m: x[m] for m in w.modalities if m in x} for x in inputs]))
         yield workers
     finally:
         for w in workers:  # both exit at once

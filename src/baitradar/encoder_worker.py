@@ -1,12 +1,13 @@
 """One encoder worker process: ``python -m baitradar.encoder_worker``.
 
 It reads pickled messages from stdin. The first holds the arguments of its
-``EncoderGroup``; each later one is a ``(method, args)`` call on that group.
-Every message is answered on the process's original stdout with a pickled
-``("ok", result)``. A call that raises is answered with ``("error",
-traceback)`` and ends the process with exit code 1. The process exits with
-0 when stdin closes. Anything printed goes to stderr, so it cannot corrupt
-the replies.
+``EncoderGroup`` and is not answered; each later one is a ``(method, args)``
+call on that group, answered on the process's original stdout with a
+pickled ``("ok", result)``. A failure, in building the group or in a call,
+is answered with ``("error", traceback)`` and ends the process with exit
+code 1. The process exits with 0 when stdin closes, and with 1 when the
+trainer closes its end of stdout. Anything printed goes to stderr, so it
+cannot corrupt the replies.
 """
 
 from __future__ import annotations
@@ -25,16 +26,22 @@ def serve(requests, replies) -> int:
         replies.flush()
 
     try:
-        group = EncoderGroup(*pickle.load(requests))
-        reply("ok", None)
-        while True:
-            try:
-                method, args = pickle.load(requests)
-            except EOFError:
-                return 0
-            reply("ok", getattr(group, method)(*args))
-    except Exception:  # noqa: BLE001 - every failure goes back to the trainer
-        reply("error", traceback.format_exc())
+        try:
+            group = EncoderGroup(*pickle.load(requests))
+            while True:
+                try:
+                    method, args = pickle.load(requests)
+                except EOFError:
+                    return 0
+                reply("ok", getattr(group, method)(*args))
+        except Exception:  # noqa: BLE001 - every failure goes back to the trainer
+            reply("error", traceback.format_exc())
+            return 1
+    except BrokenPipeError:
+        # the trainer has gone; what is left in ``replies`` is flushed to
+        # devnull when it closes, so nothing is printed (see the SIGPIPE note
+        # in Python's ``signal`` docs)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), replies.fileno())
         return 1
 
 

@@ -138,15 +138,9 @@ class BaitRadarModel:
 
     # -- batched forward/backward --------------------------------------------
 
-    def encode(self, feats: list[Features], masks: list[ModalityMask]):
-        """Each modality's ``(rows, out)`` in canonical order, and the encoder
-        caches; see ``run_encoders``."""
-        return run_encoders(self.modalities, [f.inputs for f in feats], masks,
-                            self.params, self.config)
-
     def fuse_head(self, encoded, n_rows: int):
-        """Probabilities of ``n_rows`` rows from ``encode``'s output: the
-        fusion average, then the head."""
+        """Probabilities of ``n_rows`` rows from ``run_encoders``' output:
+        the fusion average, then the head."""
         fused, n_present = fusion.fuse_batch(encoded, n_rows, self.config.fusion_dim)
         probs, head_cache = fusion.head_forward(fused, self.params, self.head_arch, self.head_prefix)
         rows = {m: r for m, (r, _) in encoded.items()}
@@ -161,7 +155,8 @@ class BaitRadarModel:
     def forward_features(self, feats: list[Features], masks: list[ModalityMask]):
         """Probabilities for a batch. ``masks`` gives the effective modality
         mask per row (already intersected with availability)."""
-        encoded, enc_caches = self.encode(feats, masks)
+        encoded, enc_caches = run_encoders(self.modalities, [f.inputs for f in feats], masks,
+                                           self.params, self.config)
         probs, cache = self.fuse_head(encoded, len(feats))
         return probs, (enc_caches, cache)
 

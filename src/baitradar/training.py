@@ -190,12 +190,17 @@ def _merged(model: BaitRadarModel, parts: list[dict]) -> dict:
     return {m: encoded[m] for m in model.modalities if m in encoded}
 
 
-def _validation_probs(model: BaitRadarModel, groups, n_val: int) -> np.ndarray:
-    """The validation probabilities ``model.score`` gives, from the groups'
-    chunk encodings."""
-    chunks = zip(*_call(groups, "score"))
-    parts = [model.fuse_head(_merged(model, list(chunk)), min(SCORE_CHUNK, n_val - lo))[0]
-             for lo, chunk in zip(range(0, n_val, SCORE_CHUNK), chunks)]
+def _validation_probs(model: BaitRadarModel, groups, n_train: int, val_masks) -> np.ndarray:
+    """The validation probabilities ``model.score`` gives: the groups'
+    ``forward`` on each chunk of ``SCORE_CHUNK`` validation records (which
+    follow the ``n_train`` training records), then the fusion and head. One
+    chunk at a time, so no worker is sent requests faster than it answers."""
+    parts = []
+    for lo in range(0, len(val_masks), SCORE_CHUNK):
+        masks = val_masks[lo : lo + SCORE_CHUNK]
+        records = range(n_train + lo, n_train + lo + len(masks))
+        encoded = _merged(model, _call(groups, "forward", records, masks))
+        parts.append(model.fuse_head(encoded, len(masks))[0])
     return np.concatenate(parts) if parts else np.zeros(0)
 
 
@@ -266,12 +271,14 @@ def train(records, split: DatasetSplit, config: TrainConfig,
     try:
         with encoder_groups.open_groups(
                 model.modalities, encoder_params, config.regime != "head_only",
-                config.encoder, _adam_settings(config), [f.inputs for f in train_feats],
-                [f.inputs for f in val_feats], val_masks, config.max_epochs) as groups:
+                config.encoder, _adam_settings(config),
+                [f.inputs for f in (*train_feats, *val_feats)], len(train_feats),
+                config.max_epochs) as groups:
             for epoch in range(1, config.max_epochs + 1):
                 epoch_loss = _train_epoch(model, groups, head, config, epoch,
                                           train_masks, train_labels)
-                val_acc = _accuracy(_validation_probs(model, groups, len(val_feats)), val_labels)
+                val_probs = _validation_probs(model, groups, len(train_feats), val_masks)
+                val_acc = _accuracy(val_probs, val_labels)
                 losses.append(epoch_loss)
                 val_accs.append(val_acc)
 

@@ -10,13 +10,15 @@ import sys
 import textwrap
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from baitradar import encoder_groups, nncore
 from baitradar.checkpoint import dumps
-from baitradar.corpus import SyntheticConfig, generate_synthetic, split_dataset
-from baitradar.model import BaitRadarModel
-from baitradar.training import TrainConfig, TrainingError, prepare_corpus, train
+from baitradar.corpus import SyntheticConfig, generate_synthetic, select_records, split_dataset
+from baitradar.model import SCORE_CHUNK, BaitRadarModel
+from baitradar.training import (TrainConfig, TrainingError, batch_accuracy, prepare_corpus,
+                                train)
 
 from conftest import SMALL_ENCODER
 
@@ -229,3 +231,81 @@ def test_workers_stop_when_the_trainer_itself_fails(corpus60, workers, monkeypat
     _assert_all_stopped(workers)
     assert all(w.proc.returncode == 0 for w in workers)
 
+
+
+_THUMBNAIL_WORKER_RAISES = textwrap.dedent("""
+    import runpy
+    from baitradar import encoder_groups
+
+    step = encoder_groups.EncoderGroup.step
+
+    def planted_step(self, d_outs, t):
+        if "thumbnail" in self.modalities:
+            raise RuntimeError("planted failure at step " + str(t))
+        step(self, d_outs, t)
+
+    encoder_groups.EncoderGroup.step = planted_step
+    runpy.run_module("baitradar.encoder_worker", run_name="__main__")
+""")
+
+
+def test_a_worker_still_writing_a_reply_stops_without_being_killed(workers, monkeypatch,
+                                                                    capfd):
+    """The thumbnail worker raises at step 1 while the other worker writes
+    the next batch's forward reply: 64 rows of four 64-wide text encodings
+    at the default EncoderConfig, more than a pipe holds. Closing the reply
+    pipe ends that worker too; it is not left to time out and be killed,
+    and it prints nothing."""
+    monkeypatch.setattr(encoder_groups, "_WORKER_ARGV",
+                        (sys.executable, "-c", _THUMBNAIL_WORKER_RAISES))
+    records = generate_synthetic(SyntheticConfig(n_records=200, seed=5))
+    cfg = TrainConfig(seed=5, vocab_min_freq=1, batch_size=64, max_epochs=1)
+    with pytest.raises(TrainingError, match="planted failure at step 1"):
+        train(records, split_dataset(records, seed=5), cfg)
+    _assert_all_stopped(workers)
+    assert sorted(w.proc.returncode for w in workers) == [1, 1]
+    err = capfd.readouterr().err
+    assert "BrokenPipeError" not in err and "Exception ignored" not in err
+
+
+def test_validation_is_scoring_in_chunks_on_both_paths(monkeypatch):
+    """36 validation records take two SCORE_CHUNK passes, so the second
+    pass's forward addresses records past the first chunk on the workers."""
+    records = generate_synthetic(SyntheticConfig(n_records=400, seed=5))
+    split = split_dataset(records, seed=5)
+    assert len(split.validation) > SCORE_CHUNK
+    cfg = TrainConfig(seed=5, vocab_min_freq=1, batch_size=32, max_epochs=1,
+                      encoder=SMALL_ENCODER)
+    prepared = prepare_corpus(records, split, cfg)
+    val_feats = [prepared.features[rid] for rid in split.validation]
+    labels = np.array([f.label for f in val_feats])
+    artifacts = []
+    for on_workers in (False, True):
+        monkeypatch.setattr(encoder_groups, "_use_workers", lambda *args: on_workers)
+        model, report = train(records, split, cfg, prepared=prepared)
+        masks = [model.effective_mask(r, None) for r in select_records(records, split.validation)]
+        assert report.val_accuracies[0] == batch_accuracy(model, val_feats, masks, labels)
+        artifacts.append((dumps(model), report.to_jsonl()))
+    assert artifacts[0] == artifacts[1]
+
+
+_GROUP_FAILS = textwrap.dedent("""
+    import runpy
+    from baitradar import encoder_groups
+
+    def planted_init(self, *args):
+        raise RuntimeError("planted failure building the group")
+
+    encoder_groups.EncoderGroup.__init__ = planted_init
+    runpy.run_module("baitradar.encoder_worker", run_name="__main__")
+""")
+
+
+def test_a_worker_that_cannot_build_its_group_reports_its_traceback(
+        corpus60, workers, monkeypatch):
+    """The group arguments are not answered; the failure comes back at the
+    first receive."""
+    monkeypatch.setattr(encoder_groups, "_WORKER_ARGV", (sys.executable, "-c", _GROUP_FAILS))
+    with pytest.raises(TrainingError, match="(?s)exited with code 1.*planted failure building"):
+        train(*_small_run(corpus60))
+    _assert_all_stopped(workers)

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from baitradar import encoders, fusion
-from baitradar.model import SCORE_CHUNK, BaitRadarModel, ModelError, featurize_record
+from baitradar.model import (SCORE_CHUNK, BaitRadarModel, ModelError, featurize_record,
+                             run_encoders)
 from baitradar.modalities import MODALITIES, ModalityMask
 
 from conftest import SMALL_ENCODER
@@ -225,14 +226,16 @@ def test_score_runs_passes_of_at_most_score_chunk_rows(tiny_model, tiny_records,
     np.testing.assert_array_equal(probs, expected)
 
 
-def test_forward_features_is_encode_then_fusion_and_head(tiny_model, tiny_records):
-    """encode gives each modality's rows and outputs in canonical order, and
-    fuse_head on them gives forward_features' probabilities bit for bit."""
+def test_forward_features_is_run_encoders_then_fusion_and_head(tiny_model, tiny_records):
+    """run_encoders gives each modality's rows and outputs in canonical
+    order, and fuse_head on them gives forward_features' probabilities bit
+    for bit."""
     feats = [featurize(tiny_model, r) for r in tiny_records[:5]]
     masks = [ModalityMask.from_names(["tags", "title"]), ModalityMask.from_names(["thumbnail"]),
              ModalityMask.all(), ModalityMask.from_names(["tags"]),
              ModalityMask.from_names(["statistics", "title"])]
-    encoded, caches = tiny_model.encode(feats, masks)
+    encoded, caches = run_encoders(tiny_model.modalities, [f.inputs for f in feats], masks,
+                                   tiny_model.params, tiny_model.config)
     assert list(encoded) == list(caches) == [
         "title", "thumbnail", "comments", "audio_transcript", "tags", "statistics"]
     assert encoded["title"][0].tolist() == [0, 2, 4]
